@@ -69,6 +69,25 @@ class BasisSpec:
             raise ConfigurationError(f"basis size must be >= 1, got {self.size}")
 
 
+def recurrence_coefficients(family: Family, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (a_k, c_k), k = 0 .. size-1, of t Q_k = a_k Q_{k+1} + c_k Q_{k-1}.
+
+    The one table of the three-term recurrences, used both to evaluate the
+    basis and to assemble Gram matrices from moments. c_0 = 0 always.
+    """
+    k = np.arange(size, dtype=float)
+    if family is Family.CHEBYSHEV:
+        a = np.where(k == 0, 1.0, 0.5)
+        c = np.where(k == 0, 0.0, 0.5)
+    elif family is Family.LEGENDRE:
+        a = (k + 1) / (2 * k + 1)
+        c = k / (2 * k + 1)
+    else:
+        a = np.ones(size)
+        c = np.zeros(size)
+    return a, c
+
+
 def evaluate_all(spec: BasisSpec, x) -> np.ndarray:
     """Evaluate all basis functions at x via the three-term recurrence.
 
@@ -81,19 +100,22 @@ def evaluate_all(spec: BasisSpec, x) -> np.ndarray:
     t = spec.domain(x)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
+    a, c = recurrence_coefficients(spec.family, spec.size)
+    # Q_{k+1} = (t Q_k - c_k Q_{k-1}) / a_k, written in place as
+    # (t Q_k) / a_k - (c_k / a_k) Q_{k-1}; the unit and zero factors of the
+    # Chebyshev and monomial tables are skipped.
+    scale, lag = 1.0 / a, c / a
     out = np.empty((spec.size, t.size))
     out[0] = 1.0
-    if spec.size > 1:
-        out[1] = t
-    if spec.family is Family.CHEBYSHEV:
-        for k in range(2, spec.size):
-            out[k] = 2.0 * t * out[k - 1] - out[k - 2]
-    elif spec.family is Family.LEGENDRE:
-        for k in range(2, spec.size):
-            out[k] = ((2 * k - 1) * t * out[k - 1] - (k - 1) * out[k - 2]) / k
-    else:
-        for k in range(2, spec.size):
-            out[k] = t * out[k - 1]
+    for k in range(spec.size - 1):
+        nxt = out[k + 1]
+        np.multiply(t, out[k], out=nxt)
+        if scale[k] != 1.0:
+            nxt *= scale[k]
+        if lag[k] == 1.0:
+            nxt -= out[k - 1]
+        elif lag[k] != 0.0:
+            nxt -= lag[k] * out[k - 1]
     return out[:, 0] if scalar else out
 
 

@@ -1,17 +1,25 @@
-"""Sample ingestion and Gram/moment accumulation.
+"""Sample ingestion and moment-based Gram assembly.
 
-Two routes produce the same Gram matrices: direct sample sums
-(:func:`accumulate_grams`) and the moment / multiplication-operator path
-(:func:`moments_from_samples` followed by :func:`grams_from_moments`).
+Every Gram and operator matrix <Q_j Q_k>, <Q_j f Q_k>, <Q_j g Q_k> of order
+n is a function of the 2n moments <Q_m>, <f Q_m>, <g Q_m>. The samples are
+read once, in chunks, to accumulate those moments
+(:func:`moments_from_samples`, O(M n) time, O(chunk n) memory); the
+matrices are then assembled from the moments alone by the basis
+recurrence (:func:`grams_from_moments`, O(n^2)). :func:`accumulate_grams`
+chains the two and is the only Gram route of the pipeline.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import BasisSpec, evaluate_all, product_expansion
-from .errors import ConfigurationError, DegreeRangeError, InputDataError
+from .basis import BasisSpec, evaluate_all, recurrence_coefficients
+from .errors import ConditioningError, ConfigurationError, DegreeRangeError, InputDataError
+
+# Elements of one chunk's basis block (2n rows by chunk columns), which
+# bounds the memory of moment accumulation independently of M.
+_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -114,68 +122,83 @@ def _check_order(n: int, basis: BasisSpec, minimum: int) -> None:
 
 
 def _mirror(M: np.ndarray) -> np.ndarray:
-    # Bit-for-bit symmetric: keep the upper triangle, mirror it down.
-    upper = np.triu(M)
-    return upper + np.triu(M, 1).T
+    # Bit-for-bit symmetric over the last two axes: keep the upper
+    # triangle, mirror it down.
+    return np.triu(M) + np.swapaxes(np.triu(M, 1), -1, -2)
 
 
 def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
-    """Direct sample sums G_jk = sum_l Q_j(x_l) Q_k(x_l) w_l, etc."""
+    """Gram and operator matrices of order n over Q_0 .. Q_{n-1} of ``basis``.
+
+    Orders above the number of positive-weight samples are rejected before
+    anything n-sized is allocated: such a Gram matrix cannot have full rank.
+    """
     _check_order(n, basis, n)
-    Q = evaluate_all(basis, samples.x)[:n]
-    G = _mirror((Q * samples.w) @ Q.T)
-    A_f = _mirror((Q * (samples.w * samples.f)) @ Q.T)
-    A_g = None
-    if samples.has_g:
-        A_g = _mirror((Q * (samples.w * samples.g)) @ Q.T)
-    m = Q @ samples.w
-    return GramSet(
-        n=n, G=G, A_f=A_f, A_g=A_g, m=m,
-        total_measure=float(samples.w.sum()), basis=basis,
-    )
+    support = int(np.count_nonzero(samples.w))
+    if n > support:
+        raise ConditioningError(
+            f"order {n} exceeds the {support} samples of positive weight",
+            effective_rank=support,
+        )
+    moments = moments_from_samples(samples, replace(basis, size=2 * n), n)
+    return replace(grams_from_moments(moments, n), basis=basis)
 
 
 def moments_from_samples(samples: SampleSet, basis: BasisSpec, n: int) -> MomentSet:
-    """Moments of Q_m against dmu, f dmu, and g dmu for m = 0 .. 2n-1."""
+    """Moments of Q_m against dmu, f dmu, and g dmu for m = 0 .. 2n-1.
+
+    The samples are streamed in chunks: each chunk's basis block is reduced
+    against the stacked columns [w, w f, w g] with one small matmul.
+    """
     _check_order(n, basis, 2 * n)
-    Q = evaluate_all(basis, samples.x)[: 2 * n]
-    mu = Q @ samples.w
-    mu_f = Q @ (samples.w * samples.f)
-    mu_g = Q @ (samples.w * samples.g) if samples.has_g else None
-    return MomentSet(basis=basis, mu=mu, mu_f=mu_f, mu_g=mu_g)
+    wide = replace(basis, size=2 * n)
+    chunk = max(1, _CHUNK_ELEMENTS // (2 * n))
+    acc = np.zeros((2 * n, 3 if samples.has_g else 2))
+    for start in range(0, samples.size, chunk):
+        part = slice(start, start + chunk)
+        w = samples.w[part]
+        columns = [w, w * samples.f[part]]
+        if samples.has_g:
+            columns.append(w * samples.g[part])
+        acc += evaluate_all(wide, samples.x[part]) @ np.stack(columns, axis=1)
+    mu_g = acc[:, 2].copy() if samples.has_g else None
+    return MomentSet(basis=basis, mu=acc[:, 0].copy(), mu_f=acc[:, 1].copy(), mu_g=mu_g)
 
 
-def _gram_from_moment_vector(basis: BasisSpec, mu: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j, n):
-            acc = 0.0
-            for m, c in product_expansion(basis, j, k):
-                if m >= mu.size:
-                    raise DegreeRangeError(
-                        f"Q_{j}*Q_{k} needs moment {m}, only {mu.size} available"
-                    )
-                acc += c * mu[m]
-            out[j, k] = acc
-            out[k, j] = acc
-    return out
+def _mixed_moments(basis: BasisSpec, mu: np.ndarray, n: int) -> np.ndarray:
+    """sigma[..., j, k] = <Q_j Q_k> for j < n from sigma[..., 0, :] = mu.
+
+    With t Q_k = a_k Q_{k+1} + c_k Q_{k-1}, <Q_j (t Q_k)> = <(t Q_j) Q_k>
+    gives sigma[j+1, k] = (a_k sigma[j, k+1] + c_k sigma[j, k-1]
+    - c_j sigma[j-1, k]) / a_j. Row j is valid for k <= K-1-j, K = mu's
+    length; the upper triangle is kept and mirrored.
+    """
+    K = mu.shape[-1]
+    a, c = recurrence_coefficients(basis.family, K)
+    sigma = np.zeros(mu.shape[:-1] + (n, K))
+    sigma[..., 0, :] = mu
+    for j in range(n - 1):
+        width = K - 1 - j
+        row, nxt = sigma[..., j, :], sigma[..., j + 1, :width]
+        nxt[...] = a[:width] * row[..., 1:width + 1]
+        nxt[..., 1:] += c[1:width] * row[..., :width - 1]
+        if j:
+            nxt -= c[j] * sigma[..., j - 1, :width]
+        nxt /= a[j]
+    return _mirror(sigma[..., :n])
 
 
 def grams_from_moments(moments: MomentSet, n: int) -> GramSet:
-    """Gram matrices assembled from moments via the multiplication operator."""
+    """Gram matrices assembled from moments by the basis recurrence, O(n^2)."""
     if n < 1:
         raise ConfigurationError(f"order must be >= 1, got {n}")
     if moments.mu.size < 2 * n - 1:
         raise DegreeRangeError(
             f"order {n} needs {2 * n - 1} moments, got {moments.mu.size}"
         )
-    basis = moments.basis
-    G = _gram_from_moment_vector(basis, moments.mu, n)
-    A_f = _gram_from_moment_vector(basis, moments.mu_f, n)
-    A_g = None
-    if moments.has_g:
-        A_g = _gram_from_moment_vector(basis, moments.mu_g, n)
+    vectors = [moments.mu, moments.mu_f] + ([moments.mu_g] if moments.has_g else [])
+    G, A_f, *A_g = _mixed_moments(moments.basis, np.stack(vectors), n)
     return GramSet(
-        n=n, G=G, A_f=A_f, A_g=A_g, m=moments.mu[:n].copy(),
-        total_measure=float(moments.mu[0]), basis=basis,
+        n=n, G=G, A_f=A_f, A_g=A_g[0] if A_g else None, m=moments.mu[:n].copy(),
+        total_measure=float(moments.mu[0]), basis=moments.basis,
     )

@@ -3,11 +3,33 @@
 Everything here is deliberately independent of the main pipeline: raw
 monomials of the untransformed argument, explicit Python-loop sums over
 the samples, and a non-symmetric eigensolve of inv(G) A. Only useful at
-small n on small sample sets; that is the point.
+small n on small sample sets; that is the point. :func:`direct_grams` is
+the oracle of the moment route: the Gram matrices as direct sample sums.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .basis import evaluate_all
+from .moments import GramSet
+
+
+def direct_grams(samples, basis, n):
+    """GramSet from the direct sums G_jk = sum_l Q_j(x_l) Q_k(x_l) w_l, etc.
+
+    Builds the full n x M basis matrix, so memory and time grow as n M.
+    """
+    Q = evaluate_all(basis, samples.x)[:n]
+    w = samples.w
+
+    def gram(weights):
+        return (Q * weights) @ Q.T
+
+    return GramSet(
+        n=n, G=gram(w), A_f=gram(w * samples.f),
+        A_g=gram(w * samples.g) if samples.has_g else None,
+        m=Q @ w, total_measure=float(w.sum()), basis=basis,
+    )
 
 
 def ref_quadrature(x, w, values, n):

@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConditioningError, ConfigurationError, InputDataError
 from .moments import GramSet
@@ -113,7 +112,7 @@ def solve_generalized(
     Y = U[:, keep] / np.sqrt(s[keep])
     M = Y.T @ A @ Y
     M = 0.5 * (M + M.T)
-    lam, B = scipy.linalg.eigh(M)
+    lam, B = np.linalg.eigh(M)
     alpha = Y @ B
     alpha = _fix_signs(alpha, moment_vector, total_measure)
     return EigenSolution(n=n, eigenvalues=lam, alpha=alpha, effective_rank=rank)
@@ -155,7 +154,7 @@ def solve_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> EigenSolutio
         )
     B = alpha_f.T @ A_g @ alpha_f
     B = 0.5 * (B + B.T)
-    lam, beta = scipy.linalg.eigh(B)
+    lam, beta = np.linalg.eigh(B)
     alpha_g = _fix_signs(alpha_f @ beta, grams.m, grams.total_measure)
     return EigenSolution(
         n=grams.n, eigenvalues=lam, alpha=alpha_g,

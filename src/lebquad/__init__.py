@@ -7,7 +7,7 @@ distribution through value-, probability-, density-matrix and squared
 correlation matrices.
 """
 
-from .basis import BasisSpec, DomainMap, Family, evaluate_all, product_expansion
+from .basis import BasisSpec, DomainMap, Family, evaluate_all
 from .datagen import Law, ScenarioSpec, builtin_scenario_names, generate, load_scenario, parse_scenario
 from .errors import (
     ConditioningError,
@@ -15,9 +15,11 @@ from .errors import (
     DegreeRangeError,
     InputDataError,
     LebquadError,
+    RhoMismatchError,
 )
 from .joint import (
     DENSITY,
+    KINDS,
     PROBABILITY,
     PURE_SQUARED,
     VALUE,

@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import ConfigurationError, InputDataError
 
-_EPS = np.finfo(float).eps
-
 
 class Family(str, Enum):
     CHEBYSHEV = "chebyshev"
@@ -117,44 +115,3 @@ def evaluate_all(spec: BasisSpec, x) -> np.ndarray:
         elif lag[k] != 0.0:
             nxt -= lag[k] * out[k - 1]
     return out[:, 0] if scalar else out
-
-
-def _legendre_linearization(j: int, k: int) -> list[tuple[int, float]]:
-    # Adams' formula: P_j P_k = sum_r c_r P_{j+k-2r}, r = 0 .. min(j, k),
-    # with c_r built from A_r = (2r-1)!!/r! computed by recurrence.
-    lo, hi = min(j, k), max(j, k)
-    a = np.empty(hi + lo + 1)
-    a[0] = 1.0
-    for r in range(1, hi + lo + 1):
-        a[r] = a[r - 1] * (2 * r - 1) / r
-    terms = []
-    for r in range(lo + 1):
-        m = j + k - 2 * r
-        c = (a[j - r] * a[r] * a[k - r] / a[j + k - r]) * (2 * m + 1) / (
-            2 * (j + k - r) + 1
-        )
-        terms.append((m, c))
-    return terms
-
-
-def product_expansion(spec: BasisSpec, j: int, k: int) -> list[tuple[int, float]]:
-    """Coefficients c_m with Q_j * Q_k = sum_m c_m Q_m.
-
-    Chebyshev uses T_j T_k = (T_{j+k} + T_{|j-k|}) / 2, monomials multiply
-    degrees, Legendre uses the standard linearization coefficients.
-    """
-    if not (0 <= j < spec.size and 0 <= k < spec.size):
-        raise ConfigurationError(
-            f"indices ({j}, {k}) out of range for basis of size {spec.size}"
-        )
-    if j == 0:
-        return [(k, 1.0)]
-    if k == 0:
-        return [(j, 1.0)]
-    if spec.family is Family.MONOMIAL:
-        return [(j + k, 1.0)]
-    if spec.family is Family.CHEBYSHEV:
-        if j == k:
-            return [(0, 0.5), (2 * j, 0.5)]
-        return [(abs(j - k), 0.5), (j + k, 0.5)]
-    return _legendre_linearization(j, k)

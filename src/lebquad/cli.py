@@ -7,7 +7,7 @@ import sys
 from . import io as lio
 from . import joint as joint_ops
 from .datagen import generate, load_scenario
-from .errors import ConditioningError, ConfigurationError, InputDataError
+from .errors import ConditioningError, ConfigurationError, InputDataError, RhoMismatchError
 from .pipeline import DEFAULT_ORDER, analyze
 from .selftest import run_selftest
 from .spectral import DEFAULT_EPSILON
@@ -15,9 +15,6 @@ from .spectral import DEFAULT_EPSILON
 EXIT_INPUT = 2
 EXIT_CONDITIONING = 3
 EXIT_MISMATCH = 4
-
-ALL_KINDS = (joint_ops.VALUE, joint_ops.PROBABILITY, joint_ops.DENSITY,
-             joint_ops.PURE_SQUARED)
 
 
 def _add_common(parser):
@@ -48,7 +45,7 @@ def build_parser():
     p_joint = sub.add_parser("joint", help="compute joint distribution matrices")
     _add_common(p_joint)
     p_joint.add_argument("--kinds", default="value,probability",
-                         help="comma list from: " + ",".join(ALL_KINDS))
+                         help="comma list from: " + ",".join(joint_ops.KINDS))
     p_joint.add_argument("--rho", default="unit",
                          help="density operator: unit | identity | spectral:<path>")
 
@@ -68,8 +65,11 @@ def _load_samples(args):
 
 def _emit(args, text):
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputDataError(f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -97,15 +97,11 @@ def _resolve_rho(args, result):
         try:
             rho = joint_ops.density_from_spectral(lam, vectors)
         except InputDataError as exc:
-            raise _RhoMismatch(str(exc)) from None
+            raise RhoMismatchError(str(exc)) from None
         if rho.n != result.n:
-            raise _RhoMismatch(f"rho has order {rho.n}, run has order {result.n}")
+            raise RhoMismatchError(f"rho has order {rho.n}, run has order {result.n}")
         return rho
     raise ConfigurationError(f"unknown rho source {args.rho!r}")
-
-
-class _RhoMismatch(Exception):
-    pass
 
 
 def cmd_joint(args) -> int:
@@ -113,7 +109,7 @@ def cmd_joint(args) -> int:
     if not kinds:
         raise ConfigurationError("no correlation kinds requested")
     for kind in kinds:
-        if kind not in ALL_KINDS:
+        if kind not in joint_ops.KINDS:
             raise ConfigurationError(f"unknown correlation kind {kind!r}")
     samples = _load_samples(args)
     if not samples.has_g:
@@ -140,7 +136,7 @@ def main(argv=None) -> int:
     except ConditioningError as exc:
         print(f"conditioning error: {exc}", file=sys.stderr)
         return EXIT_CONDITIONING
-    except _RhoMismatch as exc:
+    except RhoMismatchError as exc:
         print(f"rho mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 

@@ -12,6 +12,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import ConfigurationError, InputDataError
+from .io import read_text
 from .moments import SampleSet
 
 X_LAWS = ("uniform_grid", "uniform_random", "clustered")
@@ -133,10 +134,12 @@ def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
             raise InputDataError(f"expected 'key = value', got {raw!r}", line=lineno)
         if key == "name":
             fields["name"] = value
-        elif key == "M":
-            fields["M"] = int(value)
-        elif key == "seed":
-            fields["seed"] = int(value)
+        elif key in ("M", "seed"):
+            try:
+                fields[key] = int(value)
+            except ValueError:
+                raise InputDataError(f"{key} must be an integer, got {value!r}",
+                                     line=lineno) from None
         elif key in ("x_law", "f_law", "g_law", "omega_law"):
             fields[key] = _parse_law(value, line=lineno)
         else:
@@ -166,4 +169,7 @@ def load_scenario(name: str) -> ScenarioSpec:
             f"no built-in scenario or readable file named {name!r} "
             f"(built-ins: {', '.join(builtin_scenario_names())})"
         ) from None
+    except UnicodeDecodeError:
+        read_text(name)  # raises, naming the line of the first bad byte
+        raise
     return parse_scenario(text, name=name)

@@ -35,3 +35,8 @@ class ConditioningError(LebquadError):
             message = f"{message} (effective rank {effective_rank})"
         super().__init__(message)
         self.effective_rank = effective_rank
+
+
+class RhoMismatchError(LebquadError):
+    """A spectral density operator does not fit the run: wrong order or
+    vectors that are not orthonormal."""

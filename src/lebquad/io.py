@@ -20,6 +20,26 @@ def _fmt(value: float) -> str:
     return FLOAT_FMT % float(value)
 
 
+def read_text(path: str) -> str:
+    """Whole file as UTF-8 text.
+
+    An unreadable file, or one with bytes that are not UTF-8, raises
+    InputDataError; the latter names the line of the first bad byte.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InputDataError(f"cannot read {path}: {exc}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputDataError(
+            f"{path} is not UTF-8 text (byte {data[exc.start]:#04x})",
+            line=data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+
+
 def read_samples_csv(path: str) -> SampleSet:
     """Read samples from CSV with header x,w,f,g (w and g optional).
 
@@ -31,6 +51,9 @@ def read_samples_csv(path: str) -> SampleSet:
             raw_lines = fh.readlines()
     except OSError as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        read_text(path)  # raises, naming the line of the first bad byte
+        raise
 
     header = None
     rows = []
@@ -88,12 +111,8 @@ def write_samples_csv(path: str, samples: SampleSet) -> None:
 def read_spectral_rho(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Spectral rho file: first line n, then the eigenvalues, then one line
     of coefficients (in the f-eigenbasis) per eigenvector."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh
-                     if ln.strip() and not ln.lstrip().startswith("#")]
-    except OSError as exc:
-        raise InputDataError(f"cannot read {path}: {exc}") from None
+    lines = [ln.strip() for ln in read_text(path).splitlines()
+             if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise InputDataError(f"{path} is empty")
     try:

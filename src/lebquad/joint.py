@@ -20,6 +20,7 @@ VALUE = "value"
 PROBABILITY = "probability"
 DENSITY = "density"
 PURE_SQUARED = "pure_squared"
+KINDS = (VALUE, PROBABILITY, DENSITY, PURE_SQUARED)
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,7 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
 
     Orders above the number of positive-weight samples are rejected before
     anything n-sized is allocated: such a Gram matrix cannot have full rank.
+    Finite samples whose sums overflow to inf or NaN raise InputDataError.
     """
     _check_order(n, basis, n)
     support = int(np.count_nonzero(samples.w))
@@ -140,8 +141,15 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
             f"order {n} exceeds the {support} samples of positive weight",
             effective_rank=support,
         )
-    moments = moments_from_samples(samples, replace(basis, size=2 * n), n)
-    return replace(grams_from_moments(moments, n), basis=basis)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        moments = moments_from_samples(samples, replace(basis, size=2 * n), n)
+        grams = replace(grams_from_moments(moments, n), basis=basis)
+    for name, M in (("G", grams.G), ("A_f", grams.A_f), ("A_g", grams.A_g)):
+        if M is not None and not np.isfinite(M).all():
+            raise InputDataError(
+                f"Gram matrix {name} overflows: sample values too large for order {n}"
+            )
+    return grams
 
 
 def moments_from_samples(samples: SampleSet, basis: BasisSpec, n: int) -> MomentSet:

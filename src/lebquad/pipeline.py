@@ -72,8 +72,9 @@ def analyze(samples: SampleSet, n: int = DEFAULT_ORDER,
             domain: DomainMap | None = None) -> AnalysisResult:
     """Run the full quadrature pipeline on a sample set.
 
-    Computes Gram matrices by direct sample sums, solves the f-pencil, and
-    when g is present solves the g-problem in the f-eigenbasis.
+    Computes Gram matrices from streamed moments (:func:`accumulate_grams`),
+    solves the f-pencil, and when g is present solves the g-problem in the
+    f-eigenbasis.
     """
     if n >= 2 and np.min(samples.x) == np.max(samples.x):
         raise ConfigurationError(

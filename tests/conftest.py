@@ -22,12 +22,3 @@ def scenario_samples():
         name: datagen.generate(datagen.load_scenario(name))
         for name in datagen.builtin_scenario_names()
     }
-
-
-def random_atoms(rng, atoms, with_g=True):
-    """Small random atomic measure for oracle comparisons."""
-    x = np.sort(rng.uniform(-1, 1, atoms))
-    w = rng.uniform(0.2, 1.5, atoms)
-    f = rng.standard_normal(atoms)
-    g = rng.standard_normal(atoms) if with_g else None
-    return SampleSet(x=x, w=w, f=f, g=g)

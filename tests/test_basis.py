@@ -4,7 +4,7 @@ import numpy.polynomial.legendre as npleg
 import pytest
 
 from lebquad import BasisSpec, ConfigurationError, DomainMap, Family, InputDataError
-from lebquad.basis import evaluate_all, product_expansion
+from lebquad.basis import evaluate_all
 
 
 def spec(family, size, lo=-1.0, hi=1.0):
@@ -69,37 +69,3 @@ def test_recurrence_matches_direct_evaluation(family, direct):
     t = b.domain(x)
     for k in range(10):
         np.testing.assert_allclose(vals[k], direct(k, t), rtol=1e-12, atol=1e-12)
-
-
-def test_chebyshev_square_expansion():
-    terms = dict(product_expansion(spec(Family.CHEBYSHEV, 4), 1, 1))
-    assert terms == {0: 0.5, 2: 0.5}
-
-
-def test_multiply_by_constant_is_trivial():
-    for family in Family:
-        assert product_expansion(spec(family, 6), 0, 5) == [(5, 1.0)]
-
-
-def test_monomial_degrees_add():
-    assert product_expansion(spec(Family.MONOMIAL, 4), 2, 3) == [(5, 1.0)]
-
-
-def test_expansion_index_out_of_range():
-    with pytest.raises(ConfigurationError):
-        product_expansion(spec(Family.CHEBYSHEV, 3), 1, 3)
-
-
-@pytest.mark.parametrize("family", list(Family))
-def test_product_expansion_reconstructs_pointwise(family):
-    rng = np.random.default_rng(19)
-    b = spec(family, 6, lo=0.5, hi=3.5)
-    x = rng.uniform(0.5, 3.5, 40)
-    # expansion indices go up to 2 * size - 2
-    wide = spec(family, 11, lo=0.5, hi=3.5)
-    vals = evaluate_all(wide, x)
-    for j in range(6):
-        for k in range(6):
-            want = vals[j] * vals[k]
-            got = sum(c * vals[m] for m, c in product_expansion(b, j, k))
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -1,9 +1,11 @@
+import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
 
-from lebquad import InputDataError, SampleSet, analyze
+from lebquad import InputDataError, SampleSet, analyze, selftest
 from lebquad.cli import main
 from lebquad.io import (
     dumps_json,
@@ -193,6 +195,40 @@ def test_cli_scenario_seed_override(tmp_path):
     assert out1.read_text() != out2.read_text()
 
 
+LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
+
+
+@pytest.mark.parametrize("files, args, line", [
+    ({"in.csv": b"x,f,g\n0.1,1e308,1\n0.5,1.5e308,2\n0.9,1.7e308,3\n"},
+     ["joint", "--input", "in.csv", "--n", "2"], None),
+    ({"in.csv": b"x,f,g\n0.1,1,1\n0.5,\xff2,2\n"},
+     ["joint", "--input", "in.csv", "--n", "1"], 3),
+    ({"in.csv": TWO_ATOM_CSV.encode(), "rho.txt": b"2\n1 1\n1 0\n0 \xff1\n"},
+     ["joint", "--input", "in.csv", "--n", "2", "--basis", "monomial",
+      "--kinds", "density", "--rho", "spectral:rho.txt"], 4),
+    ({"s.scenario": b"M = 10.5\nseed = 1\n" + LAWS},
+     ["quadrature", "--scenario", "s.scenario", "--n", "2"], 1),
+    ({"s.scenario": b"M = 10\nseed = 1.5\n" + LAWS},
+     ["quadrature", "--scenario", "s.scenario", "--n", "2"], 2),
+    ({"s.scenario": b"M = 10\n# \xfe\nseed = 1\n" + LAWS},
+     ["quadrature", "--scenario", "s.scenario", "--n", "2"], 2),
+    ({}, ["quadrature", "--scenario", "smooth", "--n", "2",
+          "--output", "missing/out.json"], None),
+], ids=["gram-overflow", "csv-not-utf8", "rho-not-utf8", "scenario-M-not-int",
+        "scenario-seed-not-int", "scenario-not-utf8", "output-dir-missing"])
+def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), captured.err
+    if line is not None:
+        assert f"line {line}:" in err[0]
+    assert captured.out == ""
+
+
 def test_cli_unknown_kind_rejected(two_atom_csv):
     assert main(["joint", "--input", two_atom_csv, "--kinds", "bogus"]) == 2
 
@@ -202,3 +238,19 @@ def test_cli_selftest(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "all" in out
+
+
+def test_selftest_fails_on_a_corrupted_result(monkeypatch, scenario_samples):
+    def corrupt(result):
+        quad_g = dataclasses.replace(result.quad_g, weights=result.quad_g.weights * (1 + 1e-6))
+        return dataclasses.replace(result, quad_g=quad_g)
+
+    result = corrupt(analyze(scenario_samples["smooth"], n=8))
+    rows = {label: (err, tol) for label, err, tol in selftest.identity_rows(result)}
+    err, tol = rows["value column sums = g-weights"]
+    assert not err <= tol
+    monkeypatch.setattr(selftest, "analyze",
+                        lambda *args, **kwargs: corrupt(analyze(*args, **kwargs)))
+    out = io.StringIO()
+    assert selftest.run_selftest(out) == 1
+    assert "FAIL  smooth: value column sums = g-weights" in out.getvalue()

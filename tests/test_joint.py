@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import lebquad.reference as reference
 from lebquad import (
     InputDataError,
     SampleSet,
@@ -19,7 +18,7 @@ from lebquad import (
 from lebquad.joint import DensityMatrix
 from lebquad.spectral import LebesgueQuadrature
 
-from conftest import random_atoms
+from lebquad.selftest import random_atoms
 
 
 @pytest.fixture
@@ -86,26 +85,11 @@ def test_value_correlation_two_atom(two_atom_result):
     assert V.normalization == 2.0
 
 
-def test_value_sum_rules(scenario_samples):
-    for samples in scenario_samples.values():
-        result = analyze(samples, n=8)
-        V = result.correlation("value")
-        total = result.grams.total_measure
-        assert abs(V.total - total) <= 1e-8 * total
-        np.testing.assert_allclose(V.W.sum(axis=1), result.quad_f.weights,
-                                   rtol=1e-8, atol=1e-8 * total)
-        np.testing.assert_allclose(V.W.sum(axis=0), result.quad_g.weights,
-                                   rtol=1e-8, atol=1e-8 * total)
-
-
 def test_probability_correlation_properties(scenario_samples):
     for samples in scenario_samples.values():
         result = analyze(samples, n=8)
-        P = result.correlation("probability")
-        assert np.all(P.W >= 0)
-        assert abs(P.total - 8) <= 1e-8 * 8
-        np.testing.assert_allclose(P.W.sum(axis=0), np.ones(8), atol=1e-8)
-        np.testing.assert_allclose(P.W.sum(axis=1), np.ones(8), atol=1e-8)
+        # normalization and double stochasticity are rows of selftest.identity_rows
+        assert np.all(result.correlation("probability").W >= 0)
 
 
 def test_probability_identity_when_f_is_g(scenario_samples):
@@ -123,13 +107,6 @@ def test_density_from_pure_unit(two_atom_result):
     rho = density_from_pure_unit(two_atom_result.quad_f)
     np.testing.assert_allclose(rho.R, np.ones((2, 2)), atol=1e-12)
     assert rho.spur == pytest.approx(2.0)
-
-
-def test_pure_unit_spur_is_total_measure(scenario_samples):
-    for samples in scenario_samples.values():
-        result = analyze(samples, n=8)
-        rho = density_from_pure_unit(result.quad_f)
-        assert rho.spur == pytest.approx(samples.w.sum(), rel=1e-8)
 
 
 def test_density_identity():
@@ -174,20 +151,6 @@ def test_density_from_spectral_rejects_nonorthonormal():
         density_from_spectral(np.ones(2), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_density_correlation_specializations(scenario_samples):
-    for samples in scenario_samples.values():
-        result = analyze(samples, n=8)
-        S = result.projection()
-        V = value_correlation(result.quad_f, result.quad_g, S)
-        P = probability_correlation(S)
-        D_unit = density_matrix_correlation(S, density_from_pure_unit(result.quad_f))
-        D_ident = density_matrix_correlation(S, density_identity(8))
-        scale = np.abs(V.W).max()
-        assert np.abs(D_unit.W - V.W).max() <= 1e-10 * scale
-        assert np.abs(D_ident.W - P.W).max() <= 1e-10
-        assert D_unit.normalization == pytest.approx(samples.w.sum(), rel=1e-8)
-
-
 def test_density_correlation_random_spectral_sum_rule(smooth_result):
     rng = np.random.default_rng(23)
     n = smooth_result.n
@@ -196,17 +159,6 @@ def test_density_correlation_random_spectral_sum_rule(smooth_result):
     rho = density_from_spectral(lam, q)
     D = density_matrix_correlation(smooth_result.projection(), rho)
     assert D.total == pytest.approx(rho.spur, rel=1e-8)
-
-
-def test_pure_squared_factorizes_for_unit_rho(scenario_samples):
-    for samples in scenario_samples.values():
-        result = analyze(samples, n=8)
-        S = result.projection()
-        W = pure_squared_correlation(S, density_from_pure_unit(result.quad_f)).W
-        expected = np.outer(result.quad_f.weights, result.quad_g.weights)
-        assert np.abs(W - expected).max() <= 1e-10 * expected.max()
-        total = samples.w.sum()
-        assert W.sum() == pytest.approx(total**2, rel=1e-8)
 
 
 def test_pure_squared_identity_rho_same_process(scenario_samples):
@@ -290,24 +242,3 @@ def test_negative_entries_flagged_not_clipped():
     assert V.total == pytest.approx(s.w.sum(), rel=1e-10)
     if V.has_negative_entries:
         assert (V.W < 0).any()
-
-
-def test_against_naive_reference():
-    rng = np.random.default_rng(53)
-    for _ in range(10):
-        s = random_atoms(rng, int(rng.integers(4, 6)))
-        n = int(rng.integers(2, 4))
-        ref = reference.ref_joint(s.x, s.w, s.f, s.g, n)
-        result = analyze(s, n=n, family="monomial")
-        S = result.projection()
-        np.testing.assert_allclose(result.quad_f.nodes, ref["f_nodes"], atol=1e-10)
-        np.testing.assert_allclose(result.quad_f.weights, ref["f_weights"], atol=1e-10)
-        np.testing.assert_allclose(result.correlation("value", S=S).W, ref["V"],
-                                   atol=1e-10)
-        np.testing.assert_allclose(result.correlation("probability", S=S).W, ref["P"],
-                                   atol=1e-10)
-        rho = density_from_pure_unit(result.quad_f)
-        np.testing.assert_allclose(density_matrix_correlation(S, rho).W,
-                                   ref["density_unit"], atol=1e-10)
-        np.testing.assert_allclose(pure_squared_correlation(S, rho).W,
-                                   ref["squared_unit"], atol=1e-10)

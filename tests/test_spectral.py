@@ -133,17 +133,6 @@ def test_two_atom_opposite_signs(two_atom):
     np.testing.assert_allclose(result.quad_g.nodes, [-1.0, 1.0], atol=1e-12)
 
 
-def test_two_route_equivalence(scenario_samples):
-    for samples in scenario_samples.values():
-        result = analyze(samples, n=8)
-        direct = lebesgue_quadrature(result.grams, "g")
-        shortcut = lebesgue_quadrature_in_f_basis(result.grams, result.quad_f)
-        scale = np.abs(direct.nodes).max()
-        assert np.abs(direct.nodes - shortcut.nodes).max() <= 1e-8 * scale
-        np.testing.assert_allclose(direct.weights, shortcut.weights,
-                                   rtol=1e-6, atol=1e-8 * samples.w.sum())
-
-
 def _monic_orthogonal_roots(x, w, n):
     # roots of the degree-n monic orthogonal polynomial of the measure,
     # built from raw moments: an oracle independent of the pencil solver

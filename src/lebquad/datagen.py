@@ -6,13 +6,14 @@ with finite mean but effectively infinite variance.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
 from .errors import ConfigurationError, InputDataError
-from .io import read_text
+from .io import content_lines, read_text
 from .moments import SampleSet
 
 X_LAWS = ("uniform_grid", "uniform_random", "clustered")
@@ -44,8 +45,18 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.M < 1:
             raise ConfigurationError(f"sample count must be >= 1, got {self.M}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        for law in (self.x_law, self.f_law, self.g_law, self.omega_law):
+            if law is not None and not all(np.isfinite(float(v)) for v in law.params.values()):
+                raise ConfigurationError(f"law {law.name!r} has a non-finite parameter")
         if self.x_law.name not in X_LAWS:
             raise ConfigurationError(f"unknown x law {self.x_law.name!r}")
+        lo, hi = self.x_law.get("lo", -1.0), self.x_law.get("hi", 1.0)
+        if not 0 <= hi - lo < np.inf:
+            raise ConfigurationError(f"x range needs lo <= hi, got lo={lo}, hi={hi}")
+        if self.x_law.name == "clustered" and not 1 <= int(self.x_law.get("centers", 3)) <= self.M:
+            raise ConfigurationError("clustered x law needs 1 <= centers <= M")
         if self.omega_law.name not in OMEGA_LAWS:
             raise ConfigurationError(f"unknown omega law {self.omega_law.name!r}")
         for law in (self.f_law, self.g_law):
@@ -125,13 +136,10 @@ def _parse_law(text: str, line: int | None = None) -> Law:
 def parse_scenario(text: str, name: str = "scenario") -> ScenarioSpec:
     """Parse the plain-text key = value scenario format."""
     fields: dict = {"name": name}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text):
         key, sep, value = (s.strip() for s in line.partition("="))
         if not sep:
-            raise InputDataError(f"expected 'key = value', got {raw!r}", line=lineno)
+            raise InputDataError(f"expected 'key = value', got {line!r}", line=lineno)
         if key == "name":
             fields["name"] = value
         elif key in ("M", "seed"):
@@ -161,15 +169,9 @@ def load_scenario(name: str) -> ScenarioSpec:
     res = resources.files(__package__) / "scenarios" / f"{name}.scenario"
     if res.is_file():
         return parse_scenario(res.read_text(), name=name)
-    try:
-        with open(name, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError:
+    if not os.path.isfile(name):
         raise InputDataError(
             f"no built-in scenario or readable file named {name!r} "
             f"(built-ins: {', '.join(builtin_scenario_names())})"
-        ) from None
-    except UnicodeDecodeError:
-        read_text(name)  # raises, naming the line of the first bad byte
-        raise
-    return parse_scenario(text, name=name)
+        )
+    return parse_scenario(read_text(name), name=name)

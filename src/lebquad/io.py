@@ -5,8 +5,10 @@ emitted files round-trip bit-exactly.
 """
 from __future__ import annotations
 
-import csv
 import io as _io
+from array import array
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import islice
 
 import numpy as np
 
@@ -29,8 +31,8 @@ def read_text(path: str) -> str:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError as exc:
-        raise InputDataError(f"cannot read {path}: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise InputDataError(f"cannot read {path!r}: {exc}") from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -40,98 +42,95 @@ def read_text(path: str) -> str:
         ) from None
 
 
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(file line number, stripped line) for each line of ``text`` that is
+    neither blank nor a '#' comment; numbering counts every line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def _table(lines: Iterable[tuple[int, str]], columns: Sequence, sep: str | None) -> np.ndarray:
+    """One row of numbers per numbered line, as a (rows, len(columns)) array;
+    a wrong field count or a non-numeric field names its line and column."""
+    values = array("d")
+    for lineno, line in lines:
+        fields = line.split(sep)
+        if len(fields) != len(columns):
+            raise InputDataError(
+                f"expected {len(columns)} fields, got {len(fields)}", line=lineno
+            )
+        try:
+            values.extend(map(float, fields))
+        except ValueError:
+            for column, field in zip(columns, fields):
+                try:
+                    float(field)
+                except ValueError:
+                    raise InputDataError(
+                        f"non-numeric value {field!r} in column {column!r}", line=lineno
+                    ) from None
+    return np.frombuffer(values).reshape(-1, len(columns))
+
+
 def read_samples_csv(path: str) -> SampleSet:
     """Read samples from CSV with header x,w,f,g (w and g optional).
 
-    '#' lines are skipped; any malformed or non-finite field rejects the
-    whole file with its line number.
+    One record per line, plain comma-separated decimals (no quoting); blank
+    and '#' lines are skipped. Any malformed, non-finite or negative-weight
+    record rejects the whole file with its line number.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            raw_lines = fh.readlines()
-    except OSError as exc:
-        raise InputDataError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError:
-        read_text(path)  # raises, naming the line of the first bad byte
-        raise
-
-    header = None
-    rows = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = next(csv.reader([line]))
-        if header is None:
-            header = [h.strip().lower() for h in fields]
-            if "x" not in header or "f" not in header:
-                raise InputDataError("header must contain at least 'x' and 'f'", line=lineno)
-            unknown = set(header) - {"x", "w", "f", "g"}
-            if unknown:
-                raise InputDataError(f"unknown columns {sorted(unknown)}", line=lineno)
-            continue
-        if len(fields) != len(header):
-            raise InputDataError(
-                f"expected {len(header)} fields, got {len(fields)}", line=lineno
-            )
-        rec = {}
-        for name, field in zip(header, fields):
-            try:
-                rec[name] = float(field)
-            except ValueError:
-                raise InputDataError(
-                    f"non-numeric value {field!r} in column '{name}'", line=lineno
-                ) from None
-            if not np.isfinite(rec[name]):
-                raise InputDataError(f"non-finite value in column '{name}'", line=lineno)
-        if "w" in rec and rec["w"] < 0:
-            raise InputDataError(f"negative weight {rec['w']}", line=lineno)
-        rows.append(rec)
-    if header is None or not rows:
+    text = read_text(path)
+    lines = content_lines(text)
+    lineno, line = next(lines, (None, ""))
+    header = [h.strip().lower() for h in line.split(",")]
+    if "x" not in header or "f" not in header:
+        raise InputDataError("header must contain at least 'x' and 'f'", line=lineno)
+    unknown = set(header) - {"x", "w", "f", "g"}
+    if unknown:
+        raise InputDataError(f"unknown columns {sorted(unknown)}", line=lineno)
+    data = _table(lines, header, ",").T.copy()  # one contiguous row per column
+    if not data.size:
         raise InputDataError(f"{path} contains no data rows")
 
-    x = np.array([r["x"] for r in rows])
-    w = np.array([r.get("w", 1.0) for r in rows])
-    f = np.array([r["f"] for r in rows])
-    g = np.array([r["g"] for r in rows]) if "g" in header else None
-    return SampleSet(x=x, w=w, f=f, g=g)
+    cols = dict(zip(header, data))
+    finite = np.isfinite(data)
+    bad = ~finite.all(axis=0) | (cols.get("w", 0.0) < 0)
+    if bad.any():
+        # the first offending record, checked in the order a row scan would
+        row = int(bad.argmax())
+        lineno = next(islice(content_lines(text), row + 1, None))[0]
+        if not finite[:, row].all():
+            name = header[int(finite[:, row].argmin())]
+            raise InputDataError(f"non-finite value in column '{name}'", line=lineno)
+        raise InputDataError(f"negative weight {cols['w'][row]}", line=lineno)
+    return SampleSet(x=cols["x"], w=cols.get("w", np.ones(data.shape[1])),
+                     f=cols["f"], g=cols.get("g"))
 
 
 def write_samples_csv(path: str, samples: SampleSet) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        cols = ["x", "w", "f"] + (["g"] if samples.has_g else [])
-        fh.write(",".join(cols) + "\n")
-        for l in range(samples.size):
-            row = [samples.x[l], samples.w[l], samples.f[l]]
-            if samples.has_g:
-                row.append(samples.g[l])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    names = ["x", "w", "f"] + (["g"] if samples.has_g else [])
+    np.savetxt(path, np.column_stack([getattr(samples, c) for c in names]),
+               fmt=FLOAT_FMT, delimiter=",", header=",".join(names), comments="")
 
 
 def read_spectral_rho(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Spectral rho file: first line n, then the eigenvalues, then one line
     of coefficients (in the f-eigenbasis) per eigenvector."""
-    lines = [ln.strip() for ln in read_text(path).splitlines()
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines:
-        raise InputDataError(f"{path} is empty")
+    lines = list(content_lines(read_text(path)))
+    lineno, first = lines[0] if lines else (None, "")
     try:
-        n = int(lines[0])
+        n = int(first)
     except ValueError:
-        raise InputDataError("first line must be the order n", line=1) from None
+        raise InputDataError(f"expected the order n, got {first!r}", line=lineno) from None
+    if n < 1:
+        raise InputDataError(f"order n must be >= 1, got {n}", line=lineno)
     if len(lines) != n + 2:
         raise InputDataError(f"expected {n + 2} content lines, got {len(lines)}")
-    try:
-        lam = np.array([float(v) for v in lines[1].split()])
-        vectors = np.array([[float(v) for v in line.split()] for line in lines[2:]])
-    except ValueError:
-        raise InputDataError("non-numeric value in spectral rho file") from None
-    if lam.size != n or vectors.shape != (n, n):
-        raise InputDataError(
-            f"inconsistent sizes: {lam.size} eigenvalues, vectors {vectors.shape}"
-        )
-    # one vector per line; columns of the returned matrix are the vectors
-    return lam, vectors.T
+    table = _table(lines[1:], range(1, n + 1), None)
+    # one vector per line after the eigenvalues; columns of the returned matrix are the vectors
+    return table[0], table[1:].T
 
 
 def _jsonify(obj) -> str:

@@ -53,9 +53,20 @@ def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputDataError(f"{name} must be square, got shape {M.shape}")
     scale = np.abs(M).max() or 1.0
-    if np.abs(M - M.T).max() > 1e-10 * scale:
-        raise InputDataError(f"{name} is not symmetric")
-    return 0.5 * (M + M.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # _reduced_eigh reports an overflow
+        if np.abs(M - M.T).max() > 1e-10 * scale:
+            raise InputDataError(f"{name} is not symmetric")
+        return 0.5 * (M + M.T)
+
+
+def _reduced_eigh(Y: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the symmetric operator Y^T A Y, which must be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = Y.T @ A @ Y
+        M = 0.5 * (M + M.T)
+    if not np.isfinite(M).all():
+        raise InputDataError("operator overflows in the Gram eigenbasis: sample values too large")
+    return np.linalg.eigh(M)
 
 
 def _fix_signs(alpha: np.ndarray, m: np.ndarray | None, total: float | None) -> np.ndarray:
@@ -92,8 +103,10 @@ def solve_generalized(
     G is eigendecomposed and directions below epsilon * lambda_max(G) are
     dropped; if fewer than n directions survive the pencil is declared
     rank-deficient. ``moment_vector`` (the <Q_k> vector) fixes eigenvector
-    signs so amplitudes come out non-negative.
+    signs so amplitudes come out non-negative. ``epsilon`` must lie in [0, 1).
     """
+    if not 0 <= epsilon < 1:  # also rejects nan
+        raise ConfigurationError(f"epsilon must be in [0, 1), got {epsilon}")
     A = _check_symmetric(A, "A")
     G = _check_symmetric(G, "G")
     if A.shape != G.shape:
@@ -110,9 +123,7 @@ def solve_generalized(
             f"Gram matrix rank-deficient for order {n}", effective_rank=rank
         )
     Y = U[:, keep] / np.sqrt(s[keep])
-    M = Y.T @ A @ Y
-    M = 0.5 * (M + M.T)
-    lam, B = np.linalg.eigh(M)
+    lam, B = _reduced_eigh(Y, A)
     alpha = Y @ B
     alpha = _fix_signs(alpha, moment_vector, total_measure)
     return EigenSolution(n=n, eigenvalues=lam, alpha=alpha, effective_rank=rank)
@@ -152,9 +163,7 @@ def solve_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> EigenSolutio
             f"dimension mismatch: f-eigenbasis is {alpha_f.shape[0]}, "
             f"operator is {A_g.shape[0]}"
         )
-    B = alpha_f.T @ A_g @ alpha_f
-    B = 0.5 * (B + B.T)
-    lam, beta = np.linalg.eigh(B)
+    lam, beta = _reduced_eigh(alpha_f, A_g)
     alpha_g = _fix_signs(alpha_f @ beta, grams.m, grams.total_measure)
     return EigenSolution(
         n=grams.n, eigenvalues=lam, alpha=alpha_g,

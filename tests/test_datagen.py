@@ -70,6 +70,16 @@ def test_invalid_parameters_rejected():
         make_spec(f_law=Law("spikes", {"rate": 2.0}))
     with pytest.raises(ConfigurationError):
         make_spec(x_law=Law("bogus"))
+    # each of these would otherwise fail inside numpy during generation
+    for bad in (dict(seed=-1),
+                dict(x_law=Law("uniform_random", {"lo": 1.0, "hi": 0.0})),
+                dict(x_law=Law("uniform_random", {"lo": -1e308, "hi": 1e308})),
+                dict(x_law=Law("clustered", {"centers": 0.0})),
+                dict(x_law=Law("clustered", {"centers": 101.0})),
+                dict(x_law=Law("clustered", {"centers": float("nan")})),
+                dict(f_law=Law("smooth", {"freq": float("inf")}))):
+        with pytest.raises(ConfigurationError):
+            make_spec(**bad)
 
 
 def test_parse_scenario_roundtrip():

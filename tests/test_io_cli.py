@@ -1,11 +1,16 @@
+import contextlib
 import dataclasses
 import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lebquad import InputDataError, SampleSet, analyze, selftest
+from lebquad import InputDataError, SampleSet, analyze, datagen, selftest
 from lebquad.cli import main
 from lebquad.io import (
     dumps_json,
@@ -14,6 +19,7 @@ from lebquad.io import (
     result_document,
     write_samples_csv,
 )
+from lebquad.joint import KINDS
 
 TWO_ATOM_CSV = "x,w,f,g\n-1,1,-1,1\n1,1,1,-1\n"
 
@@ -49,6 +55,20 @@ def test_read_csv_errors_carry_line_numbers(tmp_path):
         read_samples_csv(str(path))
     path.write_text("x,q,f\n0,1,2\n")
     with pytest.raises(InputDataError, match="line 1"):
+        read_samples_csv(str(path))
+    # the vectorized value checks map the record back to its file line
+    path.write_text("# c\nx,w,f\n\n0,1,2\n# c\n1,1,nan\n2,1,3\n")
+    with pytest.raises(InputDataError, match="line 6: non-finite value in column 'f'"):
+        read_samples_csv(str(path))
+    path.write_text("\n# c\nx,w,f\n0,1,2\n\n1,-3,4\n2,1,nan\n")
+    with pytest.raises(InputDataError, match="line 6: negative weight -3.0"):
+        read_samples_csv(str(path))
+    # quoting is not supported: no record spans two lines
+    path.write_text('x,f\n0.5,"1\n",2\n')
+    with pytest.raises(InputDataError, match="line 2: non-numeric"):
+        read_samples_csv(str(path))
+    path.write_text("# c\nx,f\n\n")
+    with pytest.raises(InputDataError, match="contains no data rows"):
         read_samples_csv(str(path))
 
 
@@ -214,8 +234,19 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
      ["quadrature", "--scenario", "s.scenario", "--n", "2"], 2),
     ({}, ["quadrature", "--scenario", "smooth", "--n", "2",
           "--output", "missing/out.json"], None),
+    ({}, ["quadrature", "--input", "in\x00.csv", "--n", "1"], None),
+    ({"in.csv": b"x,f\n0,1.7e308\n1,0\n"}, ["quadrature", "--input", "in.csv", "--n", "1"], None),
+    *(({"in.csv": TWO_ATOM_CSV.encode()},
+       ["quadrature", "--input", "in.csv", "--n", "1", f"--epsilon={eps}"], None)
+      for eps in ("nan", "inf", "2", "-1")),
+    *(({"in.csv": TWO_ATOM_CSV.encode(), "rho.txt": rho},
+       ["joint", "--input", "in.csv", "--n", "2", "--basis", "monomial",
+        "--kinds", "density", "--rho", "spectral:rho.txt"], line)
+      for rho, line in ((b"-1\n", 1), (b"2\n1 1\n1 0\n0\n", 4), (b"# c\nabc\n", 2))),
 ], ids=["gram-overflow", "csv-not-utf8", "rho-not-utf8", "scenario-M-not-int",
-        "scenario-seed-not-int", "scenario-not-utf8", "output-dir-missing"])
+        "scenario-seed-not-int", "scenario-not-utf8", "output-dir-missing", "input-path-nul",
+        "operator-overflow", "epsilon-nan", "epsilon-inf", "epsilon-2", "epsilon-negative",
+        "rho-order-negative", "rho-ragged-row", "rho-comment-then-text"])
 def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     monkeypatch.chdir(tmp_path)
     for name, data in files.items():
@@ -254,3 +285,99 @@ def test_selftest_fails_on_a_corrupted_result(monkeypatch, scenario_samples):
     out = io.StringIO()
     assert selftest.run_selftest(out) == 1
     assert "FAIL  smooth: value column sums = g-weights" in out.getvalue()
+
+
+_NOISE = st.one_of(st.binary(max_size=12),
+                   st.sampled_from([b"", b"# c", b"abc", b"0.5,\"1", b"\",2", b"1,,2"]))
+
+
+# values of a file: tame in half of the files, so that some runs get past
+# the value checks, and any float in the other half
+_VALUES = st.sampled_from([st.floats(0, 10), st.floats()])
+
+
+def _numbers(count, sep, values):
+    return st.lists(values, min_size=count, max_size=count).map(
+        lambda v: sep.join(map(repr, v)).encode())
+
+
+@st.composite
+def _file(draw, lines):
+    """The format's lines joined by newlines; in half of the files some are
+    replaced by arbitrary bytes and noise lines are inserted."""
+    if draw(st.booleans()):
+        lines = [draw(_NOISE) if draw(st.integers(0, 4)) == 0 else line for line in lines]
+        for _ in range(draw(st.integers(0, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_NOISE))
+    return b"\n".join(lines)
+
+
+@st.composite
+def _csv_file(draw):
+    header = draw(st.sampled_from([b"x,w,f,g", b"x,f,g", b"x,f", b"X, F, G", b"x,q,f"]))
+    width = header.count(b",") + 1
+    rows = draw(st.lists(_numbers(width, ",", draw(_VALUES)), max_size=10))
+    return draw(_file([header] + rows))
+
+
+@st.composite
+def _rho_file(draw):
+    n = draw(st.integers(-1, 3))
+    unit_rows = [" ".join("1" if j == i else "0" for j in range(n)).encode() for i in range(n)]
+    values = draw(_VALUES)
+    rows = [draw(st.one_of(_numbers(max(n, 0), " ", values),
+                           st.sampled_from(unit_rows or [b""])))
+            for _ in range(max(n, 0) + 1)]
+    return draw(_file([str(n).encode()] + rows))
+
+
+_LAW_PARAMS = ["lo", "hi", "centers", "width", "rate", "magnitude", "nu", "scale",
+               "freq", "curvature", "a", "b"]
+
+
+def _law_line(key, laws):
+    return st.builds(
+        lambda law, params: f"{key} = {law}({params})".encode(),
+        st.sampled_from(laws),
+        st.lists(st.builds("{}={!r}".format, st.sampled_from(_LAW_PARAMS), st.floats()),
+                 max_size=2).map(", ".join))
+
+
+@st.composite
+def _scenario_file(draw):
+    lines = [
+        # generation materializes all M samples, so M stays small here
+        draw(st.one_of(st.integers(1, 100), st.integers(-3, 10_000)).map(
+            lambda m: f"M = {m}".encode())),
+        draw(st.integers(-3, 2**70).map(lambda s: f"seed = {s}".encode())),
+        draw(_law_line("x_law", datagen.X_LAWS)),
+        draw(_law_line("f_law", datagen.VALUE_LAWS)),
+        draw(_law_line("g_law", datagen.VALUE_LAWS)),
+        draw(_law_line("omega_law", datagen.OMEGA_LAWS)),
+    ]
+    return draw(_file(draw(st.permutations(lines))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(csv=_csv_file(), rho=_rho_file(), scenario=_scenario_file(),
+       command=st.sampled_from(["quadrature", "joint"]),
+       source=st.sampled_from(["--input", "--scenario"]),
+       rho_source=st.sampled_from(["unit", "identity", "spectral"]),
+       n=st.integers(-2, 5),
+       epsilon=st.sampled_from(["1e-12", "0", "-1", "nan", "inf", "1"]))
+def test_cli_exit_code_contract(csv, rho, scenario, command, source, rho_source, n, epsilon):
+    """Whatever the input files and flags, the CLI returns 0, 2, 3 or 4 and
+    raises nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, data in (("in.csv", csv), ("rho.txt", rho), ("s.scenario", scenario)):
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "wb") as fh:
+                fh.write(data)
+        args = [command, source, paths["in.csv" if source == "--input" else "s.scenario"],
+                f"--n={n}", f"--epsilon={epsilon}", "--output", os.path.join(tmp, "out")]
+        if command == "joint":
+            rho_arg = f"spectral:{paths['rho.txt']}" if rho_source == "spectral" else rho_source
+            args += ["--kinds", ",".join(KINDS), "--rho", rho_arg]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(args) in (0, 2, 3, 4)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lebquad import SampleSet, moments, pipeline
+from lebquad import SampleSet, cli, io, moments, pipeline
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -43,3 +43,14 @@ def test_analyze_goes_through_traced_gram_and_basis_layers(monkeypatch):
     pipeline.analyze(SampleSet(x=x, w=np.ones(50), f=x**2, g=np.sin(x)), n=4)
     assert calls["accumulate_grams"] == 1
     assert calls["evaluate_all"] >= 1
+
+
+def test_cli_reads_csv_through_traced_io_attribute(monkeypatch, tmp_path):
+    calls = []
+    read = io.read_samples_csv
+    monkeypatch.setattr(io, "read_samples_csv", lambda path: calls.append(path) or read(path))
+    csv = tmp_path / "in.csv"
+    csv.write_text("x,f,g\n-1,1,0\n0,2,1\n1,3,0\n")
+    assert cli.main(["joint", "--input", str(csv), "--n", "2",
+                     "--output", str(tmp_path / "out.json")]) == 0
+    assert calls == [str(csv)]

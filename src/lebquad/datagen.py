@@ -45,6 +45,14 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.M < 1:
             raise ConfigurationError(f"sample count must be >= 1, got {self.M}")
+        # generate() holds all M samples at once: x, w, f and maybe g
+        need = self.M * (3 if self.g_law is None else 4) * 8
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ConfigurationError(
+                f"M = {self.M} samples need {need / 2**30:.3g} GiB, "
+                f"more than the {have / 2**30:.3g} GiB of physical memory"
+            )
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         for law in (self.x_law, self.f_law, self.g_law, self.omega_law):
@@ -104,13 +112,16 @@ def _draw_values(law: Law, x: np.ndarray, rng: np.random.Generator) -> np.ndarra
 def generate(spec: ScenarioSpec) -> SampleSet:
     """Deterministic SampleSet for a scenario; same spec and seed, same bits."""
     rng = np.random.default_rng(spec.seed)
-    x = _draw_x(spec.x_law, spec.M, rng)
-    if spec.omega_law.name == "unit":
-        w = np.ones(spec.M)
-    else:
-        w = rng.uniform(0.1, 1.0, spec.M)
-    f = _draw_values(spec.f_law, x, rng)
-    g = _draw_values(spec.g_law, x, rng) if spec.g_law is not None else None
+    # Huge law parameters can overflow the draws; SampleSet reports the
+    # non-finite values, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _draw_x(spec.x_law, spec.M, rng)
+        if spec.omega_law.name == "unit":
+            w = np.ones(spec.M)
+        else:
+            w = rng.uniform(0.1, 1.0, spec.M)
+        f = _draw_values(spec.f_law, x, rng)
+        g = _draw_values(spec.g_law, x, rng) if spec.g_law is not None else None
     return SampleSet(x=x, w=w, f=f, g=g)
 
 

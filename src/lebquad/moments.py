@@ -1,12 +1,13 @@
 """Sample ingestion and moment-based Gram assembly.
 
 Every Gram and operator matrix <Q_j Q_k>, <Q_j f Q_k>, <Q_j g Q_k> of order
-n is a function of the 2n moments <Q_m>, <f Q_m>, <g Q_m>. The samples are
-read once, in chunks, to accumulate those moments
+n follows, by the basis recurrence, from its first row <Q_k> and its last
+column <Q_{n-1} Q_k>. The samples are read once, in chunks, evaluating n
+basis rows and reducing them to each Gram's first row and last column
 (:func:`moments_from_samples`, O(M n) time, O(chunk n) memory); the
-matrices are then assembled from the moments alone by the basis
-recurrence (:func:`grams_from_moments`, O(n^2)). :func:`accumulate_grams`
-chains the two and is the only Gram route of the pipeline.
+recurrence fills the rest from those alone (:func:`grams_from_moments`,
+O(n^2)). :func:`accumulate_grams` chains the two and is the only Gram route
+of the pipeline.
 """
 from __future__ import annotations
 
@@ -17,8 +18,11 @@ import numpy as np
 from .basis import BasisSpec, evaluate_all, recurrence_coefficients
 from .errors import ConditioningError, ConfigurationError, DegreeRangeError, InputDataError
 
-# Elements of one chunk's basis block (2n rows by chunk columns), which
-# bounds the memory of moment accumulation independently of M.
+# A chunk holds _CHUNK_ELEMENTS // (2n) samples. Its block of n basis rows
+# (half that many elements) is reduced to each Gram's first row and last
+# column and released before the next chunk is evaluated; the recurrence
+# fills the rest. This bounds the memory of moment accumulation
+# independently of M.
 _CHUNK_ELEMENTS = 1 << 20
 
 
@@ -100,25 +104,31 @@ class GramSet:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Moments <Q_m>, <f Q_m>, <g Q_m> for m = 0 .. 2n-1."""
+    """First rows and last columns of the Grams of order n = len(mu).
+
+    ``mu[k]`` = <Q_k>, ``mu_f[k]`` = <f Q_k>, ``mu_g[k]`` = <g Q_k> and
+    ``last[k]`` = <Q_{n-1} Q_k>, ``last_f[k]`` = <f Q_{n-1} Q_k>,
+    ``last_g[k]`` = <g Q_{n-1} Q_k>, for k = 0 .. n-1.
+    """
 
     basis: BasisSpec
     mu: np.ndarray
     mu_f: np.ndarray
+    last: np.ndarray
+    last_f: np.ndarray
     mu_g: np.ndarray | None = None
+    last_g: np.ndarray | None = None
 
     @property
     def has_g(self) -> bool:
         return self.mu_g is not None
 
 
-def _check_order(n: int, basis: BasisSpec, minimum: int) -> None:
+def _check_order(n: int, basis: BasisSpec) -> None:
     if n < 1:
         raise ConfigurationError(f"order must be >= 1, got {n}")
-    if basis.size < minimum:
-        raise ConfigurationError(
-            f"basis size {basis.size} too small, need at least {minimum}"
-        )
+    if basis.size < n:
+        raise ConfigurationError(f"basis size {basis.size} too small, need at least {n}")
 
 
 def _mirror(M: np.ndarray) -> np.ndarray:
@@ -134,7 +144,7 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
     anything n-sized is allocated: such a Gram matrix cannot have full rank.
     Finite samples whose sums overflow to inf or NaN raise InputDataError.
     """
-    _check_order(n, basis, n)
+    _check_order(n, basis)
     support = int(np.count_nonzero(samples.w))
     if n > support:
         raise ConditioningError(
@@ -142,8 +152,7 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
             effective_rank=support,
         )
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        moments = moments_from_samples(samples, replace(basis, size=2 * n), n)
-        grams = replace(grams_from_moments(moments, n), basis=basis)
+        grams = grams_from_moments(moments_from_samples(samples, basis, n), n)
     for name, M in (("G", grams.G), ("A_f", grams.A_f), ("A_g", grams.A_g)):
         if M is not None and not np.isfinite(M).all():
             raise InputDataError(
@@ -153,59 +162,76 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
 
 
 def moments_from_samples(samples: SampleSet, basis: BasisSpec, n: int) -> MomentSet:
-    """Moments of Q_m against dmu, f dmu, and g dmu for m = 0 .. 2n-1.
+    """First rows and last columns of the order-n Grams of dmu, f dmu, g dmu.
 
-    The samples are streamed in chunks: each chunk's basis block is reduced
-    against the stacked columns [w, w f, w g] with one small matmul.
+    The samples are streamed in chunks: each chunk's block of basis rows
+    Q_0 .. Q_{n-1} is reduced with one small matmul against the stacked
+    columns [w, w f, w g] and against the same columns times Q_{n-1}.
     """
-    _check_order(n, basis, 2 * n)
-    wide = replace(basis, size=2 * n)
+    _check_order(n, basis)
+    rows = replace(basis, size=n)
     chunk = max(1, _CHUNK_ELEMENTS // (2 * n))
-    acc = np.zeros((2 * n, 3 if samples.has_g else 2))
+    measures = 3 if samples.has_g else 2
+    acc = np.zeros((n, 2 * measures))
     for start in range(0, samples.size, chunk):
         part = slice(start, start + chunk)
         w = samples.w[part]
         columns = [w, w * samples.f[part]]
         if samples.has_g:
             columns.append(w * samples.g[part])
-        acc += evaluate_all(wide, samples.x[part]) @ np.stack(columns, axis=1)
-    mu_g = acc[:, 2].copy() if samples.has_g else None
-    return MomentSet(basis=basis, mu=acc[:, 0].copy(), mu_f=acc[:, 1].copy(), mu_g=mu_g)
+        columns = np.stack(columns)  # one row per measure: contiguous products
+        Q = evaluate_all(rows, samples.x[part])
+        acc += Q @ np.concatenate([columns, columns * Q[-1]]).T
+        del Q  # the next chunk's block is allocated only after this one is freed
+    first, last = acc[:, :measures].T.copy(), acc[:, measures:].T.copy()
+    return MomentSet(
+        basis=basis, mu=first[0], mu_f=first[1], last=last[0], last_f=last[1],
+        mu_g=first[2] if samples.has_g else None,
+        last_g=last[2] if samples.has_g else None,
+    )
 
 
-def _mixed_moments(basis: BasisSpec, mu: np.ndarray, n: int) -> np.ndarray:
-    """sigma[..., j, k] = <Q_j Q_k> for j < n from sigma[..., 0, :] = mu.
+def _mixed_moments(basis: BasisSpec, first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """sigma[..., j, k] = <Q_j Q_k>, j, k < n, from its first row and last column.
 
+    first[..., k] = sigma[..., 0, k] and last[..., k] = sigma[..., k, n-1].
     With t Q_k = a_k Q_{k+1} + c_k Q_{k-1}, <Q_j (t Q_k)> = <(t Q_j) Q_k>
     gives sigma[j+1, k] = (a_k sigma[j, k+1] + c_k sigma[j, k-1]
-    - c_j sigma[j-1, k]) / a_j. Row j is valid for k <= K-1-j, K = mu's
-    length; the upper triangle is kept and mirrored.
+    - c_j sigma[j-1, k]) / a_j for k < n-1; column n-1 is pinned to
+    ``last``. Only a_j divides: c_j is 0 for monomials. The upper triangle
+    is kept and mirrored.
     """
-    K = mu.shape[-1]
-    a, c = recurrence_coefficients(basis.family, K)
-    sigma = np.zeros(mu.shape[:-1] + (n, K))
-    sigma[..., 0, :] = mu
+    n = first.shape[-1]
+    a, c = recurrence_coefficients(basis.family, n)
+    sigma = np.zeros(first.shape[:-1] + (n, n))
+    sigma[..., :, n - 1] = last
+    sigma[..., 0, :] = first
+    width = n - 1
     for j in range(n - 1):
-        width = K - 1 - j
         row, nxt = sigma[..., j, :], sigma[..., j + 1, :width]
-        nxt[...] = a[:width] * row[..., 1:width + 1]
+        nxt[...] = a[:width] * row[..., 1:]
         nxt[..., 1:] += c[1:width] * row[..., :width - 1]
         if j:
             nxt -= c[j] * sigma[..., j - 1, :width]
         nxt /= a[j]
-    return _mirror(sigma[..., :n])
+    return _mirror(sigma)
 
 
 def grams_from_moments(moments: MomentSet, n: int) -> GramSet:
-    """Gram matrices assembled from moments by the basis recurrence, O(n^2)."""
+    """Gram matrices filled in from their first rows and last columns, O(n^2).
+
+    An order below the MomentSet's gives the leading block of its Grams.
+    """
     if n < 1:
         raise ConfigurationError(f"order must be >= 1, got {n}")
-    if moments.mu.size < 2 * n - 1:
+    if n > moments.mu.size:
         raise DegreeRangeError(
-            f"order {n} needs {2 * n - 1} moments, got {moments.mu.size}"
+            f"order {n} needs moments of order {n}, got {moments.mu.size}"
         )
-    vectors = [moments.mu, moments.mu_f] + ([moments.mu_g] if moments.has_g else [])
-    G, A_f, *A_g = _mixed_moments(moments.basis, np.stack(vectors), n)
+    first = [moments.mu, moments.mu_f] + ([moments.mu_g] if moments.has_g else [])
+    last = [moments.last, moments.last_f] + ([moments.last_g] if moments.has_g else [])
+    sigma = _mixed_moments(moments.basis, np.stack(first), np.stack(last))
+    G, A_f, *A_g = sigma[:, :n, :n]
     return GramSet(
         n=n, G=G, A_f=A_f, A_g=A_g[0] if A_g else None, m=moments.mu[:n].copy(),
         total_measure=float(moments.mu[0]), basis=moments.basis,

@@ -232,6 +232,11 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
      ["quadrature", "--scenario", "s.scenario", "--n", "2"], 2),
     ({"s.scenario": b"M = 10\n# \xfe\nseed = 1\n" + LAWS},
      ["quadrature", "--scenario", "s.scenario", "--n", "2"], 2),
+    ({"s.scenario": b"M = 100000000000000\nseed = 1\n" + LAWS},
+     ["quadrature", "--scenario", "s.scenario", "--n", "2"], None),
+    ({"s.scenario": b"M = 100\nseed = 1\nx_law = clustered(lo=-5e305)\n"
+                    b"f_law = smooth\ng_law = smooth\nomega_law = unit\n"},
+     ["joint", "--scenario", "s.scenario", "--n", "2"], None),
     ({}, ["quadrature", "--scenario", "smooth", "--n", "2",
           "--output", "missing/out.json"], None),
     ({}, ["quadrature", "--input", "in\x00.csv", "--n", "1"], None),
@@ -244,9 +249,11 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
         "--kinds", "density", "--rho", "spectral:rho.txt"], line)
       for rho, line in ((b"-1\n", 1), (b"2\n1 1\n1 0\n0\n", 4), (b"# c\nabc\n", 2))),
 ], ids=["gram-overflow", "csv-not-utf8", "rho-not-utf8", "scenario-M-not-int",
-        "scenario-seed-not-int", "scenario-not-utf8", "output-dir-missing", "input-path-nul",
+        "scenario-seed-not-int", "scenario-not-utf8", "scenario-huge-M",
+        "scenario-law-overflow", "output-dir-missing", "input-path-nul",
         "operator-overflow", "epsilon-nan", "epsilon-inf", "epsilon-2", "epsilon-negative",
         "rho-order-negative", "rho-ragged-row", "rho-comment-then-text"])
+@pytest.mark.filterwarnings("error")  # a numpy warning would be one more stderr line
 def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     monkeypatch.chdir(tmp_path)
     for name, data in files.items():

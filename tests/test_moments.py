@@ -60,31 +60,36 @@ def test_two_atom_order_two_grams(two_atom):
 
 
 def test_two_atom_moments(two_atom):
-    mom = moments_from_samples(two_atom, monomial(4), 2)
-    np.testing.assert_allclose(mom.mu, [2.0, 0.0, 2.0, 0.0])
-    np.testing.assert_allclose(mom.mu_f, [0.0, 2.0, 0.0, 2.0])
+    mom = moments_from_samples(two_atom, monomial(2), 2)
+    np.testing.assert_allclose(mom.mu, [2.0, 0.0])
+    np.testing.assert_allclose(mom.last, [0.0, 2.0])
+    np.testing.assert_allclose(mom.mu_f, [0.0, 2.0])
+    np.testing.assert_allclose(mom.last_f, [2.0, 0.0])
 
 
 def test_single_sample_moments():
     s = SampleSet(x=np.array([0.3]), w=np.array([1.0]), f=np.array([4.5]))
     b = monomial(2, 0.0, 1.0)
-    mom = moments_from_samples(s, b, 1)
+    mom = moments_from_samples(s, b, 2)
     t = b.domain(0.3)
     np.testing.assert_allclose(mom.mu, [1.0, t])
+    np.testing.assert_allclose(mom.last, [t, t * t])
     np.testing.assert_allclose(mom.mu_f, [4.5, 4.5 * t])
+    np.testing.assert_allclose(mom.last_f, [4.5 * t, 4.5 * t * t])
 
 
 def test_riemann_sum_moments():
     M = 10**4
     x = np.linspace(-1, 1, M)
     s = SampleSet(x=x, w=np.full(M, 2.0 / M), f=x)
-    mom = moments_from_samples(s, monomial(4), 2)
-    np.testing.assert_allclose(mom.mu, [2.0, 0.0, 2.0 / 3.0, 0.0], atol=1e-3)
+    mom = moments_from_samples(s, monomial(2), 2)
+    np.testing.assert_allclose(mom.mu, [2.0, 0.0], atol=1e-3)
+    np.testing.assert_allclose(mom.last, [0.0, 2.0 / 3.0], atol=1e-3)
 
 
 def test_grams_from_moments_matches_direct(two_atom):
     direct = reference.direct_grams(two_atom, monomial(2), 2)
-    via = grams_from_moments(moments_from_samples(two_atom, monomial(4), 2), 2)
+    via = grams_from_moments(moments_from_samples(two_atom, monomial(2), 2), 2)
     np.testing.assert_allclose(via.G, direct.G, rtol=1e-10)
     np.testing.assert_allclose(via.A_f, direct.A_f, rtol=1e-10)
     np.testing.assert_allclose(via.A_g, direct.A_g, rtol=1e-10)
@@ -92,7 +97,7 @@ def test_grams_from_moments_matches_direct(two_atom):
 
 
 def test_order_one_gram_from_moments(two_atom):
-    via = grams_from_moments(moments_from_samples(two_atom, monomial(2), 1), 1)
+    via = grams_from_moments(moments_from_samples(two_atom, monomial(1), 1), 1)
     np.testing.assert_allclose(via.G, [[2.0]])
     np.testing.assert_allclose(via.A_f, [[0.0]])
 
@@ -101,23 +106,25 @@ def test_chebyshev_square_linearization_in_gram():
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, 200)
     s = SampleSet(x=x, w=np.ones(200), f=x)
-    b = BasisSpec(family=Family.CHEBYSHEV, size=4, domain=DomainMap(-1, 1))
-    mom = moments_from_samples(s, b, 2)
-    grams = grams_from_moments(mom, 2)
+    b = BasisSpec(family=Family.CHEBYSHEV, size=3, domain=DomainMap(-1, 1))
+    mom = moments_from_samples(s, b, 3)
+    grams = grams_from_moments(mom, 3)
     assert grams.G[1, 1] == pytest.approx((mom.mu[0] + mom.mu[2]) / 2, rel=1e-14)
 
 
-@pytest.mark.parametrize("family", list(Family))
-def test_path_equivalence_random_data(family):
+@pytest.mark.parametrize("family, n", [
+    *(pytest.param(family, 4, id=family.value) for family in Family),
+    *(pytest.param(family, n, id=f"{family.value}-{n}")
+      for family in (Family.CHEBYSHEV, Family.LEGENDRE) for n in (64, 200)),
+])
+def test_path_equivalence_random_data(family, n):
     rng = np.random.default_rng(11)
     x = rng.uniform(-2, 3, 500)
     s = SampleSet(x=x, w=rng.uniform(0.1, 1, 500),
                   f=np.sin(x), g=np.cos(x))
-    n = 4
-    dm = DomainMap.from_samples(x)
-    direct = reference.direct_grams(s, BasisSpec(family, n, dm), n)
-    via = grams_from_moments(
-        moments_from_samples(s, BasisSpec(family, 2 * n, dm), n), n)
+    basis = BasisSpec(family, n, DomainMap.from_samples(x))
+    direct = reference.direct_grams(s, basis, n)
+    via = grams_from_moments(moments_from_samples(s, basis, n), n)
     scale = np.abs(direct.G).max()
     assert np.abs(via.G - direct.G).max() <= 1e-10 * scale
     assert np.abs(via.A_f - direct.A_f).max() <= 1e-10 * np.abs(direct.A_f).max()
@@ -192,10 +199,26 @@ def test_configuration_errors(two_atom):
     with pytest.raises(ConfigurationError):
         accumulate_grams(two_atom, monomial(2), 0)
     with pytest.raises(ConfigurationError):
-        moments_from_samples(two_atom, monomial(3), 2)
-    mom = moments_from_samples(two_atom, monomial(4), 2)
+        moments_from_samples(two_atom, monomial(2), 3)
+    mom = moments_from_samples(two_atom, monomial(2), 2)
     with pytest.raises(DegreeRangeError):
         grams_from_moments(mom, 3)
+
+
+def test_gram_route_evaluates_n_basis_rows(monkeypatch, scenario_samples):
+    sizes = []
+    evaluate = moments.evaluate_all
+
+    def recorded(spec, x):
+        sizes.append(spec.size)
+        return evaluate(spec, x)
+
+    monkeypatch.setattr(moments, "evaluate_all", recorded)
+    samples = scenario_samples["smooth"]
+    n = 128
+    accumulate_grams(samples, BasisSpec(Family.LEGENDRE, n, DomainMap.from_samples(samples.x)), n)
+    chunk = moments._CHUNK_ELEMENTS // (2 * n)
+    assert sizes == [n] * -(-samples.size // chunk)
 
 
 def test_order_above_positive_weight_count_rejected_before_evaluation(monkeypatch):

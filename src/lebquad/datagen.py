@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputDataError
 from .io import content_lines, read_text
-from .moments import SampleSet
+from .moments import SampleSet, physical_memory
 
 X_LAWS = ("uniform_grid", "uniform_random", "clustered")
 VALUE_LAWS = ("affine_of_x", "smooth", "spikes", "student_t")
@@ -47,7 +47,7 @@ class ScenarioSpec:
             raise ConfigurationError(f"sample count must be >= 1, got {self.M}")
         # generate() holds all M samples at once: x, w, f and maybe g
         need = self.M * (3 if self.g_law is None else 4) * 8
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        have = physical_memory()
         if need > have:
             raise ConfigurationError(
                 f"M = {self.M} samples need {need / 2**30:.3g} GiB, "

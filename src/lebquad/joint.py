@@ -92,13 +92,16 @@ class JointDistributionMatrix:
 
 
 def projection(quad_f: LebesgueQuadrature, quad_g: LebesgueQuadrature) -> ProjectionMatrix:
-    """S = alpha_f^T G alpha_g, the bridge between the two eigenbases."""
+    """S, the g-eigenvectors over the f-eigenfunctions, as solve_in_f_basis
+    found them; equal to alpha_f^T G alpha_g in exact arithmetic."""
     if quad_f.n != quad_g.n:
         raise InputDataError(f"order mismatch: {quad_f.n} vs {quad_g.n}")
     if quad_f.grams.basis != quad_g.grams.basis or quad_f.grams.G is not quad_g.grams.G:
         if not np.array_equal(quad_f.grams.G, quad_g.grams.G):
             raise InputDataError("quadratures were built on different Gram sets")
-    S = quad_f.eigensolution.alpha.T @ quad_f.grams.G @ quad_g.eigensolution.alpha
+    S = quad_g.eigensolution.in_f_basis
+    if S is None:
+        raise InputDataError("the g quadrature was not solved in the f-eigenbasis")
     return ProjectionMatrix(
         S=S,
         f_nodes=quad_f.nodes,

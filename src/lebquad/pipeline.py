@@ -3,10 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import joint as joint_ops
-from .basis import BasisSpec, DomainMap, Family
+from .basis import BasisSpec, DomainMap, Family, support_range
 from .errors import ConfigurationError
 from .joint import DensityMatrix, JointDistributionMatrix, ProjectionMatrix
 from .moments import GramSet, SampleSet, accumulate_grams
@@ -60,9 +58,10 @@ class AnalysisResult:
 def basis_for_samples(samples: SampleSet, size: int,
                       family: Family | str = Family.CHEBYSHEV,
                       domain: DomainMap | None = None) -> BasisSpec:
-    """Basis sized for the requested order, domain-mapped to the sample range."""
+    """Basis sized for the requested order, domain-mapped to the range of the
+    samples of positive weight."""
     if domain is None:
-        domain = DomainMap.from_samples(samples.x)
+        domain = DomainMap.from_samples(samples.x, samples.w)
     return BasisSpec(family=Family(family), size=size, domain=domain)
 
 
@@ -76,10 +75,13 @@ def analyze(samples: SampleSet, n: int = DEFAULT_ORDER,
     solves the f-pencil, and when g is present solves the g-problem in the
     f-eigenbasis.
     """
-    if n >= 2 and np.min(samples.x) == np.max(samples.x):
-        raise ConfigurationError(
-            "all samples share one x value; only order n = 1 is possible"
-        )
+    if n >= 2:
+        lo, hi = support_range(samples.x, samples.w)
+        if lo == hi:
+            raise ConfigurationError(
+                "all samples of positive weight share one x value; "
+                "only order n = 1 is possible"
+            )
     basis = basis_for_samples(samples, size=n, family=family, domain=domain)
     grams = accumulate_grams(samples, basis, n)
     quad_f = lebesgue_quadrature(grams, "f", epsilon=epsilon)

@@ -26,6 +26,9 @@ class EigenSolution:
     eigenvalues: np.ndarray  # ascending
     alpha: np.ndarray  # column i is the coefficient vector over Q_k
     effective_rank: int
+    # column i over the f-eigenfunctions, for a solution from solve_in_f_basis:
+    # the projection S between the two eigenbases
+    in_f_basis: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -69,25 +72,25 @@ def _reduced_eigh(Y: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.linalg.eigh(M)
 
 
-def _fix_signs(alpha: np.ndarray, m: np.ndarray | None, total: float | None) -> np.ndarray:
-    """Flip columns so amplitudes alpha^T m are non-negative.
+def _signs(alpha: np.ndarray, m: np.ndarray | None, total: float | None) -> np.ndarray:
+    """Column signs (+1 or -1) that make the amplitudes alpha^T m non-negative.
 
     Columns with (numerically) zero amplitude fall back to making the first
     nonzero coefficient positive, keeping the output deterministic.
     """
-    alpha = alpha.copy()
+    signs = np.ones(alpha.shape[1])
     tol = _AMPLITUDE_TOL * np.sqrt(total) if total is not None else 0.0
     for i in range(alpha.shape[1]):
         col = alpha[:, i]
         a = float(col @ m) if m is not None else 0.0
         if m is not None and abs(a) > tol:
             if a < 0:
-                alpha[:, i] = -col
+                signs[i] = -1.0
         else:
             nz = np.flatnonzero(np.abs(col) > _AMPLITUDE_TOL * max(np.abs(col).max(), 1.0))
             if nz.size and col[nz[0]] < 0:
-                alpha[:, i] = -col
-    return alpha
+                signs[i] = -1.0
+    return signs
 
 
 def solve_generalized(
@@ -125,16 +128,16 @@ def solve_generalized(
     Y = U[:, keep] / np.sqrt(s[keep])
     lam, B = _reduced_eigh(Y, A)
     alpha = Y @ B
-    alpha = _fix_signs(alpha, moment_vector, total_measure)
+    alpha *= _signs(alpha, moment_vector, total_measure)
     return EigenSolution(n=n, eigenvalues=lam, alpha=alpha, effective_rank=rank)
 
 
-def _quadrature_from_solution(grams: GramSet, which: str, sol: EigenSolution) -> LebesgueQuadrature:
-    a = sol.alpha.T @ grams.m
+def _quadrature_from_solution(grams: GramSet, which: str, sol: EigenSolution,
+                              amplitudes: np.ndarray) -> LebesgueQuadrature:
     return LebesgueQuadrature(
         nodes=sol.eigenvalues,
-        weights=a * a,
-        amplitudes=a,
+        weights=amplitudes * amplitudes,
+        amplitudes=amplitudes,
         eigensolution=sol,
         grams=grams,
         which=which,
@@ -150,12 +153,15 @@ def lebesgue_quadrature(
         A, grams.G, epsilon=epsilon,
         moment_vector=grams.m, total_measure=grams.total_measure,
     )
-    return _quadrature_from_solution(grams, which, sol)
+    return _quadrature_from_solution(grams, which, sol, sol.alpha.T @ grams.m)
 
 
 def solve_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> EigenSolution:
     """Solve the g-problem in the f-eigenbasis, where the pencil has unit
-    right-hand side, then back-transform coefficients to the Q-basis."""
+    right-hand side, then back-transform coefficients to the Q-basis.
+
+    The eigenvectors over the f-eigenfunctions are kept as ``in_f_basis``.
+    """
     A_g = grams.operator("g")
     alpha_f = quad_f.eigensolution.alpha
     if alpha_f.shape[0] != A_g.shape[0]:
@@ -164,13 +170,16 @@ def solve_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> EigenSolutio
             f"operator is {A_g.shape[0]}"
         )
     lam, beta = _reduced_eigh(alpha_f, A_g)
-    alpha_g = _fix_signs(alpha_f @ beta, grams.m, grams.total_measure)
+    alpha_g = alpha_f @ beta
+    signs = _signs(alpha_g, grams.m, grams.total_measure)
     return EigenSolution(
-        n=grams.n, eigenvalues=lam, alpha=alpha_g,
-        effective_rank=quad_f.eigensolution.effective_rank,
+        n=grams.n, eigenvalues=lam, alpha=alpha_g * signs,
+        effective_rank=quad_f.eigensolution.effective_rank, in_f_basis=beta * signs,
     )
 
 
 def lebesgue_quadrature_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> LebesgueQuadrature:
-    """Quadrature of g computed through the f-eigenbasis shortcut."""
-    return _quadrature_from_solution(grams, "g", solve_in_f_basis(grams, quad_f))
+    """Quadrature of g computed through the f-eigenbasis shortcut; its
+    amplitudes are S^T a_f, S being the solution's ``in_f_basis``."""
+    sol = solve_in_f_basis(grams, quad_f)
+    return _quadrature_from_solution(grams, "g", sol, sol.in_f_basis.T @ quad_f.amplitudes)

@@ -3,7 +3,15 @@ import numpy.polynomial.chebyshev as npcheb
 import numpy.polynomial.legendre as npleg
 import pytest
 
-from lebquad import BasisSpec, ConfigurationError, DomainMap, Family, InputDataError
+from lebquad import (
+    BasisSpec,
+    ConfigurationError,
+    DomainMap,
+    Family,
+    InputDataError,
+    SampleSet,
+    analyze,
+)
 from lebquad.basis import evaluate_all
 
 
@@ -69,3 +77,24 @@ def test_recurrence_matches_direct_evaluation(family, direct):
     t = b.domain(x)
     for k in range(10):
         np.testing.assert_allclose(vals[k], direct(k, t), rtol=1e-12, atol=1e-12)
+
+
+def test_zero_weight_sample_does_not_move_the_domain(scenario_samples):
+    base = scenario_samples["clustered"]
+    lo, hi = base.x.min(), base.x.max()
+    # with the far sample in its range the domain squeezes the clusters and
+    # the order-8 Gram matrix loses rank (effective rank 7)
+    s = SampleSet(x=np.append(base.x, lo + 3 * (hi - lo)), w=np.append(base.w, 0.0),
+                  f=np.append(base.f, 0.0), g=np.append(base.g, 0.0))
+    assert DomainMap.from_samples(s.x, s.w) == DomainMap(lo, hi)
+    result, want = analyze(s, n=8), analyze(base, n=8)
+    assert result.basis.domain == want.basis.domain
+    np.testing.assert_allclose(result.quad_f.nodes, want.quad_f.nodes, rtol=1e-12)
+
+
+def test_single_positive_weight_x_needs_order_one():
+    s = SampleSet(x=np.array([0.5, 0.5, 2.0]), w=np.array([1.0, 2.0, 0.0]),
+                  f=np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ConfigurationError, match="one x value"):
+        analyze(s, n=2)
+    assert analyze(s, n=1).basis.domain == DomainMap.identity()

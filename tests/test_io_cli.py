@@ -20,6 +20,7 @@ from lebquad.io import (
     write_samples_csv,
 )
 from lebquad.joint import KINDS
+from lebquad.moments import max_order
 
 TWO_ATOM_CSV = "x,w,f,g\n-1,1,-1,1\n1,1,1,-1\n"
 
@@ -72,6 +73,58 @@ def test_read_csv_errors_carry_line_numbers(tmp_path):
         read_samples_csv(str(path))
 
 
+@pytest.mark.parametrize("text, error", [
+    # np.loadtxt reads plain decimals only; float() would take both
+    ("x,f\n1_0,2\n", "line 2: non-numeric value '1_0' in column 'x'"),
+    ("x,f\n\u0661,2\n", "line 2: non-numeric value '\u0661' in column 'x'"),
+    # lines end at \r\n, \r and \n, and nowhere else
+    ("x,f\r\n0,1\r\n\r\n1,abc\r\n", "line 4: non-numeric value 'abc' in column 'f'"),
+    ("x,f\r0,1\r1,abc\r", "line 3: non-numeric value 'abc' in column 'f'"),
+    ("x,f\n0,1\n0.5,2\x0c3\n1,4\n", "line 3: non-numeric value '2\\x0c3' in column 'f'"),
+    # only empty lines and lines starting with '#' are skipped
+    ("x,f\n0,1\n  \n1,2\n", "line 3: expected 2 fields, got 1"),
+    ("x,f\n0,1\n  # c\n1,2\n", "line 3: expected 2 fields, got 1"),
+    # every record has the header's width, the first one too
+    ("x,w,f,g\n0,1,2\n1,1,3\n", "line 2: expected 4 fields, got 3"),
+    ("x,w,f,g\n0,1,2\n1,1,abc\n", "line 2: expected 4 fields, got 3"),
+], ids=["underscore-digits", "arabic-indic-digit", "crlf", "cr", "form-feed-in-record",
+        "whitespace-line", "indented-comment", "short-rows", "short-rows-then-text"])
+def test_read_csv_rejects_record_at_its_line(tmp_path, text, error):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(InputDataError) as exc:
+        read_samples_csv(str(path))
+    assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("record, error", [
+    ("1,abc", "non-numeric value 'abc' in column 'f'"),
+    ("1,2,3", "expected 2 fields, got 3"),
+], ids=["non-numeric", "extra-field"])
+def test_read_csv_bad_record_after_skipped_lines(tmp_path, record, error):
+    path = tmp_path / "in.csv"
+    path.write_text(f"# c\nx,f\n0,1\n\n# c\n\n{record}\n2,3\n")
+    with pytest.raises(InputDataError) as exc:
+        read_samples_csv(str(path))
+    assert str(exc.value) == f"line 7: {error}"
+
+
+def test_read_csv_trailing_comment(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("x,f\n0,1 # first\n1,2#second\n")
+    s = read_samples_csv(str(path))
+    np.testing.assert_array_equal(s.x, [0.0, 1.0])
+    np.testing.assert_array_equal(s.f, [1.0, 2.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_read_csv_header_only_without_warning(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("x,f\n# c\n\n")
+    with pytest.raises(InputDataError, match="contains no data rows"):
+        read_samples_csv(str(path))
+
+
 def test_csv_write_read_roundtrip(tmp_path, scenario_samples):
     samples = scenario_samples["smooth"]
     path = tmp_path / "rt.csv"
@@ -91,6 +144,21 @@ def test_spectral_rho_file(tmp_path):
     path.write_text("2\n1.5 0.5\n1 0\n")
     with pytest.raises(InputDataError):
         read_spectral_rho(str(path))
+
+
+@pytest.mark.parametrize("text, error", [
+    ("2\n# c\n1 1\n1 0 0\n0 1\n", "line 4: expected 2 fields, got 3"),
+    ("2\n1 1\n1 x\n0 1\n", "line 3: non-numeric value 'x' in column 2"),
+    ("2\n1 1\n1 0\n", "expected 4 content lines, got 3"),
+    ("2\n", "expected 4 content lines, got 1"),
+], ids=["ragged-row", "non-numeric", "too-few-rows", "order-only"])
+@pytest.mark.filterwarnings("error")
+def test_spectral_rho_file_rejected(tmp_path, text, error):
+    path = tmp_path / "rho.txt"
+    path.write_text(text)
+    with pytest.raises(InputDataError) as exc:
+        read_spectral_rho(str(path))
+    assert str(exc.value) == error
 
 
 def test_json_output_round_trips(two_atom_csv):
@@ -370,7 +438,8 @@ def _scenario_file(draw):
        command=st.sampled_from(["quadrature", "joint"]),
        source=st.sampled_from(["--input", "--scenario"]),
        rho_source=st.sampled_from(["unit", "identity", "spectral"]),
-       n=st.integers(-2, 5),
+       # orders above max_order() are rejected before anything n x n exists
+       n=st.one_of(st.integers(-2, 5), st.integers(max_order() + 1, 2 * max_order())),
        epsilon=st.sampled_from(["1e-12", "0", "-1", "nan", "inf", "1"]))
 def test_cli_exit_code_contract(csv, rho, scenario, command, source, rho_source, n, epsilon):
     """Whatever the input files and flags, the CLI returns 0, 2, 3 or 4 and

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lebquad import (
+    ConditioningError,
     InputDataError,
     SampleSet,
     analyze,
@@ -15,10 +20,10 @@ from lebquad import (
     pureness_estimate,
     value_correlation,
 )
+from lebquad.datagen import Law, builtin_scenario_names, generate, load_scenario
 from lebquad.joint import DensityMatrix
-from lebquad.spectral import LebesgueQuadrature
-
-from lebquad.selftest import random_atoms
+from lebquad.selftest import identity_rows, random_atoms
+from lebquad.spectral import LebesgueQuadrature, lebesgue_quadrature
 
 
 @pytest.fixture
@@ -66,6 +71,63 @@ def test_projection_rejects_mixed_gram_sets(scenario_samples):
     r2 = analyze(scenario_samples["spikes"], n=4)
     with pytest.raises(InputDataError):
         projection(r1.quad_f, r2.quad_g)
+
+
+def test_projection_needs_g_solved_in_f_basis(smooth_result):
+    direct = lebesgue_quadrature(smooth_result.grams, "g")
+    with pytest.raises(InputDataError, match="f-eigenbasis"):
+        projection(smooth_result.quad_f, direct)
+
+
+# parameter ranges drawn for the built-in scenarios' laws
+_LAW_RANGES = {
+    "clustered": {"centers": (1.0, 6.0), "width": (0.005, 0.1)},
+    "spikes": {"rate": (0.0, 0.05), "magnitude": (1.0, 1e4)},
+    "student_t": {"nu": (1.2, 4.0)},
+    "smooth": {"freq": (0.5, 3.0)},
+}
+
+
+@st.composite
+def _scenario(draw):
+    spec = load_scenario(draw(st.sampled_from(builtin_scenario_names())))
+
+    def drawn(law):
+        ranges = _LAW_RANGES.get(law.name, {})
+        return Law(law.name, {**law.params, **{key: draw(st.floats(lo, hi))
+                                               for key, (lo, hi) in ranges.items()}})
+
+    return replace(spec, x_law=drawn(spec.x_law), f_law=drawn(spec.f_law),
+                   g_law=drawn(spec.g_law), M=draw(st.integers(1000, 20_000)),
+                   seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@example(spec=load_scenario("clustered"), family="chebyshev", n=48)
+@example(spec=load_scenario("clustered"), family="legendre", n=64)
+@given(spec=_scenario(), family=st.sampled_from(["chebyshev", "legendre"]),
+       n=st.integers(1, 64))
+def test_identities_hold_wherever_analyze_accepts(spec, family, n):
+    """An order either is rejected as ill-conditioned or gives results that
+    keep every identity of the paper."""
+    try:
+        result = analyze(generate(spec), n=n, family=family)
+    except ConditioningError:
+        return
+    failed = [(label, err) for label, err, tol in identity_rows(result) if not err <= tol]
+    assert not failed
+
+
+@pytest.mark.parametrize("family", ["chebyshev", "legendre"])
+@pytest.mark.parametrize("name", ["smooth", "spikes", "student_t"])
+def test_projection_matches_gram_contraction(scenario_samples, name, family):
+    """S from the g-solve agrees with alpha_f^T G alpha_g where G is well
+    conditioned (kappa <= 140 here); the largest gap measured is 1.1e-14."""
+    result = analyze(scenario_samples[name], n=64, family=family)
+    alpha_f = result.quad_f.eigensolution.alpha
+    alpha_g = result.quad_g.eigensolution.alpha
+    gap = np.abs(result.projection().S - alpha_f.T @ result.grams.G @ alpha_g).max()
+    assert gap <= 1e-13
 
 
 def test_value_correlation_diagonal_when_f_is_g(scenario_samples):

@@ -233,3 +233,15 @@ def test_order_above_positive_weight_count_rejected_before_evaluation(monkeypatc
     assert err.value.effective_rank == 3
     with pytest.raises(ConditioningError):
         accumulate_grams(s, monomial(4), 4)
+
+
+def test_order_above_memory_bound_rejected_before_evaluation(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("basis evaluated before the memory check")
+
+    monkeypatch.setattr(moments, "evaluate_all", unreachable)
+    n = moments.max_order() + 1
+    x = np.linspace(-1.0, 1.0, n)
+    s = SampleSet(x=x, w=np.ones(n), f=x)
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        accumulate_grams(s, BasisSpec(Family.CHEBYSHEV, n, DomainMap.from_samples(x)), n)

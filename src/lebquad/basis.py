@@ -6,8 +6,10 @@ units of the input data.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,10 +49,12 @@ class DomainMap:
     def from_samples(cls, x, w=None) -> "DomainMap":
         """Map built from the range of the samples of positive weight (of all
         samples when w is None); identity if they all coincide."""
-        lo, hi = support_range(x, w)
-        if lo == hi:
-            return cls.identity()
-        return cls(lo, hi)
+        return cls.from_range(*support_range(x, w))
+
+    @classmethod
+    def from_range(cls, lo: float, hi: float) -> "DomainMap":
+        """Map of [lo, hi]; identity if lo == hi."""
+        return cls.identity() if lo == hi else cls(lo, hi)
 
 
 def support_range(x, w=None) -> tuple[float, float]:
@@ -100,6 +104,24 @@ def recurrence_coefficients(family: Family, size: int) -> tuple[np.ndarray, np.n
     return a, c
 
 
+@lru_cache(maxsize=8)
+def _recurrence_steps(family: Family, size: int) -> tuple[float, tuple[tuple[float, float], ...]]:
+    """(fold, steps) of Q_{k+1} = (t Q_k) / a_k - (c_k / a_k) Q_{k-1}, as
+    Python floats: steps[k] = (1 / a_k, c_k / a_k) for k = 0 .. size-2.
+
+    ``fold`` is the step scale 1 / a_k shared by every k >= 1 when it is a
+    power of two (2 for Chebyshev, 1 for monomials), else 1. Scaling by a
+    power of two is exact short of underflow, so (fold t) Q_k equals
+    (t Q_k) fold.
+    """
+    a, c = recurrence_coefficients(family, size)
+    scales, lags = (1.0 / a[:-1]).tolist(), (c[:-1] / a[:-1]).tolist()
+    fold = scales[-1] if scales else 1.0
+    if any(s != fold for s in scales[1:]) or math.frexp(fold)[0] != 0.5:
+        fold = 1.0
+    return fold, tuple(zip(scales, lags))
+
+
 def evaluate_all(spec: BasisSpec, x) -> np.ndarray:
     """Evaluate all basis functions at x via the three-term recurrence.
 
@@ -112,20 +134,23 @@ def evaluate_all(spec: BasisSpec, x) -> np.ndarray:
     t = spec.domain(x)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    a, c = recurrence_coefficients(spec.family, spec.size)
-    # Q_{k+1} = (t Q_k - c_k Q_{k-1}) / a_k, written in place as
-    # (t Q_k) / a_k - (c_k / a_k) Q_{k-1}; the unit and zero factors of the
-    # Chebyshev and monomial tables are skipped.
-    scale, lag = 1.0 / a, c / a
+    # Q_{k+1} = (t Q_k) / a_k - (c_k / a_k) Q_{k-1}, written in place; the
+    # unit and zero factors are skipped and a shared power-of-two scale is
+    # folded into t once, so a Chebyshev row takes 2 passes, a monomial 1.
+    fold, steps = _recurrence_steps(spec.family, spec.size)
+    folded = t * fold if fold != 1.0 else t
     out = np.empty((spec.size, t.size))
     out[0] = 1.0
-    for k in range(spec.size - 1):
+    for k, (scale, lag) in enumerate(steps):
         nxt = out[k + 1]
-        np.multiply(t, out[k], out=nxt)
-        if scale[k] != 1.0:
-            nxt *= scale[k]
-        if lag[k] == 1.0:
+        if scale == fold:
+            np.multiply(folded, out[k], out=nxt)
+        else:
+            np.multiply(t, out[k], out=nxt)
+            if scale != 1.0:
+                nxt *= scale
+        if lag == 1.0:
             nxt -= out[k - 1]
-        elif lag[k] != 0.0:
-            nxt -= lag[k] * out[k - 1]
+        elif lag != 0.0:
+            nxt -= lag * out[k - 1]
     return out[:, 0] if scalar else out

@@ -8,7 +8,7 @@ from __future__ import annotations
 import io as _io
 import re
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
 
 import numpy as np
@@ -32,17 +32,21 @@ def _fmt(value: float) -> str:
     return FLOAT_FMT % float(value)
 
 
+def _open(path: str, mode: str, **kwargs):
+    try:
+        return open(path, mode, **kwargs)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise InputDataError(f"cannot read {path!r}: {exc}") from None
+
+
 def read_text(path: str) -> str:
     """Whole file as UTF-8 text.
 
     An unreadable file, or one with bytes that are not UTF-8, raises
     InputDataError; the latter names the line of the first bad byte.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise InputDataError(f"cannot read {path!r}: {exc}") from None
+    with _open(path, "rb") as fh:
+        data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -63,13 +67,17 @@ def _lines(text: str) -> Iterator[str]:
         yield text[start:]
 
 
-def content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(file line number, stripped line) for each line of ``text`` that is
-    neither blank nor a '#' comment; numbering counts every line."""
-    for lineno, raw in enumerate(_lines(text), start=1):
+def _numbered_content(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(file line number, stripped line) for each line of ``text`` that is
+    neither blank nor a '#' comment; numbering counts every line."""
+    return _numbered_content(_lines(text))
 
 
 def _records(path: str, skiprows: int, sep: str | None) -> Iterator[tuple[int, list[str]]]:
@@ -108,26 +116,49 @@ def _bad_record(path: str, skiprows: int, sep: str | None, columns: Sequence,
     )
 
 
-def _loadtxt(path: str, skiprows: int, sep: str | None, columns: Sequence) -> np.ndarray:
-    """The records after the first ``skiprows`` lines of ``path`` as a
-    (records, len(columns)) array, or an empty array if there are none.
+def _read_table(path: str, sep: str | None, columns_of: Callable[[int | None, str], Sequence]
+                ) -> tuple[int | None, Sequence, np.ndarray]:
+    """(line number, columns, table) of ``path``: the table holds the records
+    after its first content line as a (records, len(columns)) array, or is
+    empty if there are none.
 
-    np.loadtxt alone decides what is accepted: plain decimals, nan and inf,
-    a trailing '#' comment; each record on one line. A record of the wrong
-    width, or with a non-numeric field, is reported at its file line.
+    The file is read once, as UTF-8 text. Its first line that is neither
+    blank nor a '#' comment (numbered as by :func:`content_lines`; (None, "")
+    if there is none) goes to ``columns_of``, which checks it and returns
+    the column names. np.loadtxt then parses the rest of the same handle
+    and alone decides what is accepted: plain decimals, nan and inf, a
+    trailing '#' comment; each record on one line. A record of the wrong
+    width, or with a non-numeric field, is reported at its file line, and
+    a byte that is not UTF-8 at the line it is on.
     """
-    # Read through an open file: given a name, numpy would pick a
-    # decompressor by its suffix (.gz, .bz2, .xz) and fetch URLs.
-    try:
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            # no records is the caller's error to report, not a warning
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(fh, delimiter=sep, skiprows=skiprows, ndmin=2)
-    except ValueError as exc:
-        raise _bad_record(path, skiprows, sep, columns, str(exc)) from None
+    with _open(path, "r", encoding="utf-8") as fh:
+        try:
+            lineno, line = next(_numbered_content(iter(fh.readline, "")), (None, ""))
+            columns = columns_of(lineno, line)
+            # Parse an open file: given a name, numpy would pick a
+            # decompressor by its suffix (.gz, .bz2, .xz) and fetch URLs.
+            with warnings.catch_warnings():
+                # no records is the caller's error to report, not a warning
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, delimiter=sep, ndmin=2)
+        except UnicodeDecodeError:  # a ValueError too, so caught first
+            read_text(path)  # raises InputDataError at the line of the bad byte
+            raise
+        except ValueError as exc:  # loadtxt's report of a bad record
+            raise _bad_record(path, lineno, sep, columns, str(exc)) from None
     if table.size and table.shape[1] != len(columns):
-        raise _bad_record(path, skiprows, sep, columns)
-    return table
+        raise _bad_record(path, lineno, sep, columns)
+    return lineno, columns, table
+
+
+def _sample_columns(lineno: int | None, line: str) -> list[str]:
+    header = [h.strip().lower() for h in line.split(",")]
+    if "x" not in header or "f" not in header:
+        raise InputDataError("header must contain at least 'x' and 'f'", line=lineno)
+    unknown = set(header) - {"x", "w", "f", "g"}
+    if unknown:
+        raise InputDataError(f"unknown columns {sorted(unknown)}", line=lineno)
+    return header
 
 
 def read_samples_csv(path: str) -> SampleSet:
@@ -139,16 +170,9 @@ def read_samples_csv(path: str) -> SampleSet:
     start with '#'. Lines end at LF, CR LF or CR. Any malformed, non-finite or
     negative-weight record rejects the whole file with its line number.
     """
-    text = read_text(path)
-    lineno, line = next(content_lines(text), (None, ""))
-    del text  # the parse reads the file again; no copy of it is held meanwhile
-    header = [h.strip().lower() for h in line.split(",")]
-    if "x" not in header or "f" not in header:
-        raise InputDataError("header must contain at least 'x' and 'f'", line=lineno)
-    unknown = set(header) - {"x", "w", "f", "g"}
-    if unknown:
-        raise InputDataError(f"unknown columns {sorted(unknown)}", line=lineno)
-    data = _loadtxt(path, lineno, ",", header).T.copy()  # one contiguous row per column
+    lineno, header, table = _read_table(path, ",", _sample_columns)
+    data = table.T.copy()  # one contiguous row per column
+    del table  # else the checks below would raise the parse's peak
     if not data.size:
         raise InputDataError(f"{path} contains no data rows")
 
@@ -176,18 +200,22 @@ def write_samples_csv(path: str, samples: SampleSet) -> None:
 def read_spectral_rho(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Spectral rho file: first line n, then the eigenvalues, then one line
     of coefficients (in the f-eigenbasis) per eigenvector."""
-    lineno, first = next(content_lines(read_text(path)), (None, ""))
+    _, columns, table = _read_table(path, None, _rho_columns)
+    n = len(columns)
+    if len(table) != n + 1:
+        raise InputDataError(f"expected {n + 2} content lines, got {len(table) + 1}")
+    # one vector per line after the eigenvalues; columns of the returned matrix are the vectors
+    return table[0], table[1:].T
+
+
+def _rho_columns(lineno: int | None, first: str) -> range:
     try:
         n = int(first)
     except ValueError:
         raise InputDataError(f"expected the order n, got {first!r}", line=lineno) from None
     if n < 1:
         raise InputDataError(f"order n must be >= 1, got {n}", line=lineno)
-    table = _loadtxt(path, lineno, None, range(1, n + 1))
-    if len(table) != n + 1:
-        raise InputDataError(f"expected {n + 2} content lines, got {len(table) + 1}")
-    # one vector per line after the eigenvalues; columns of the returned matrix are the vectors
-    return table[0], table[1:].T
+    return range(1, n + 1)
 
 
 def _jsonify(obj) -> str:

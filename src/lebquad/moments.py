@@ -6,8 +6,10 @@ column <Q_{n-1} Q_k>. The samples are read once, in chunks, evaluating n
 basis rows and reducing them to each Gram's first row and last column
 (:func:`moments_from_samples`, O(M n) time, O(chunk n) memory); the
 recurrence fills the rest from those alone (:func:`grams_from_moments`,
-O(n^2)). :func:`accumulate_grams` chains the two and is the only Gram route
-of the pipeline.
+O(n^2)). :func:`accumulate_grams` chains the two and is the only Gram
+route of the pipeline. A chunk's block of basis rows is kept to about
+1 MiB, so that it stays in L2 cache, but a chunk holds at least 4096
+samples (see _CHUNK_ELEMENTS).
 """
 from __future__ import annotations
 
@@ -20,16 +22,24 @@ import numpy as np
 from .basis import BasisSpec, evaluate_all, recurrence_coefficients
 from .errors import ConditioningError, ConfigurationError, DegreeRangeError, InputDataError
 
-# A chunk holds _CHUNK_ELEMENTS // (2n) samples. Its block of n basis rows
-# (half that many elements) is reduced to each Gram's first row and last
-# column and released before the next chunk is evaluated; the recurrence
-# fills the rest. This bounds the memory of moment accumulation
-# independently of M.
-_CHUNK_ELEMENTS = 1 << 20
+# A chunk's block of n basis rows holds about _CHUNK_ELEMENTS doubles
+# (1 MiB), so that it stays in a core's L2 cache (2 MiB on the Xeon it was
+# tuned on) while the reduction matmul reads it; at n = 32, 4 MiB blocks made
+# that matmul about 1.6x slower. But a chunk never holds fewer than
+# _CHUNK_SAMPLES samples: each of the n rows of the recurrence is a few numpy
+# calls, whose fixed cost shorter rows would not amortize (at n = 1000 the
+# 131-sample chunks of a 1 MiB block made the moment pass 3-4x slower).
+# At the floor, from n >= _CHUNK_SAMPLES on, the block is at most one n x n
+# array. Each block is reduced to each Gram's first row and last column and
+# released before the next one is evaluated; the recurrence fills the rest.
+# This bounds the memory of moment accumulation independently of M.
+_CHUNK_ELEMENTS = 1 << 17
+_CHUNK_SAMPLES = 4096
 
 # n x n float64 arrays alive at once at an order-n run's peak: the three
 # Grams, their assembly, the eigensolvers' copies and work arrays and the
-# joint estimates. The peak RSS of analyze plus all four correlations
+# joint estimates. The moment pass's block of basis rows is at most one more
+# from n = _CHUNK_SAMPLES on, and at most 128 MiB below that. The peak RSS of analyze plus all four correlations
 # measured 12.4-12.8 of them at n = 1000 and 1500; 16 leaves a margin.
 _SQUARE_ARRAYS = 16
 
@@ -190,24 +200,29 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
 def moments_from_samples(samples: SampleSet, basis: BasisSpec, n: int) -> MomentSet:
     """First rows and last columns of the order-n Grams of dmu, f dmu, g dmu.
 
-    The samples are streamed in chunks: each chunk's block of basis rows
-    Q_0 .. Q_{n-1} is reduced with one small matmul against the stacked
-    columns [w, w f, w g] and against the same columns times Q_{n-1}.
+    The samples are streamed in chunks of max(_CHUNK_SAMPLES,
+    _CHUNK_ELEMENTS // n) samples: each chunk's block of basis rows
+    Q_0 .. Q_{n-1} is reduced with one small matmul against the columns
+    [w, w f, w g] and the same columns times Q_{n-1}, written in place into
+    one operand allocated once.
     """
     _check_order(n, basis)
     rows = replace(basis, size=n)
-    chunk = max(1, _CHUNK_ELEMENTS // (2 * n))
+    chunk = min(max(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // n), samples.size)
     measures = 3 if samples.has_g else 2
+    columns = [samples.f] + ([samples.g] if samples.has_g else [])
+    operand = np.empty((2 * measures, chunk))  # rows: w, w f, w g, then each times Q_{n-1}
     acc = np.zeros((n, 2 * measures))
     for start in range(0, samples.size, chunk):
         part = slice(start, start + chunk)
         w = samples.w[part]
-        columns = [w, w * samples.f[part]]
-        if samples.has_g:
-            columns.append(w * samples.g[part])
-        columns = np.stack(columns)  # one row per measure: contiguous products
+        op = operand[:, :w.size]
+        op[0] = w
+        for row, column in enumerate(columns, start=1):
+            np.multiply(w, column[part], out=op[row])
         Q = evaluate_all(rows, samples.x[part])
-        acc += Q @ np.concatenate([columns, columns * Q[-1]]).T
+        np.multiply(op[:measures], Q[-1], out=op[measures:])
+        acc += Q @ op.T
         del Q  # the next chunk's block is allocated only after this one is freed
     first, last = acc[:, :measures].T.copy(), acc[:, measures:].T.copy()
     return MomentSet(

@@ -75,13 +75,14 @@ def analyze(samples: SampleSet, n: int = DEFAULT_ORDER,
     solves the f-pencil, and when g is present solves the g-problem in the
     f-eigenbasis.
     """
-    if n >= 2:
-        lo, hi = support_range(samples.x, samples.w)
-        if lo == hi:
-            raise ConfigurationError(
-                "all samples of positive weight share one x value; "
-                "only order n = 1 is possible"
-            )
+    lo, hi = support_range(samples.x, samples.w)
+    if n >= 2 and lo == hi:
+        raise ConfigurationError(
+            "all samples of positive weight share one x value; "
+            "only order n = 1 is possible"
+        )
+    if domain is None:
+        domain = DomainMap.from_range(lo, hi)
     basis = basis_for_samples(samples, size=n, family=family, domain=domain)
     grams = accumulate_grams(samples, basis, n)
     quad_f = lebesgue_quadrature(grams, "f", epsilon=epsilon)

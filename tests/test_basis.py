@@ -79,6 +79,21 @@ def test_recurrence_matches_direct_evaluation(family, direct):
         np.testing.assert_allclose(vals[k], direct(k, t), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("family, step", [
+    (Family.CHEBYSHEV, lambda k, t, Q: t * Q[k] if k == 0 else 2 * t * Q[k] - Q[k - 1]),
+    (Family.MONOMIAL, lambda k, t, Q: t * Q[k]),
+])
+def test_recurrence_rows_equal_plain_three_term_recurrence(family, step):
+    rng = np.random.default_rng(3)
+    b = spec(family, 40, lo=-2.0, hi=5.0)
+    x = np.append(rng.uniform(-2.0, 5.0, 1000), [-2.0, 5.0, 1.5])
+    t = b.domain(x)
+    Q = [np.ones_like(t)]
+    for k in range(39):
+        Q.append(step(k, t, Q))
+    np.testing.assert_array_equal(evaluate_all(b, x), np.array(Q))
+
+
 def test_zero_weight_sample_does_not_move_the_domain(scenario_samples):
     base = scenario_samples["clustered"]
     lo, hi = base.x.min(), base.x.max()

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,23 @@ def test_csv_write_read_roundtrip(tmp_path, scenario_samples):
     np.testing.assert_array_equal(back.x, samples.x)
     np.testing.assert_array_equal(back.f, samples.f)
     np.testing.assert_array_equal(back.g, samples.g)
+
+
+def test_read_csv_peak_memory_is_near_its_arrays(tmp_path):
+    M = 100_000
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.0, 1.0, M)
+    path = tmp_path / "big.csv"
+    write_samples_csv(str(path), SampleSet(x=x, w=rng.uniform(0.5, 1.5, M), f=np.sin(x),
+                                           g=np.cos(x)))
+    tracemalloc.start()
+    try:
+        samples = read_samples_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in (samples.x, samples.w, samples.f, samples.g))
+    assert peak < 2.5 * arrays
 
 
 def test_spectral_rho_file(tmp_path):
@@ -291,6 +309,10 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
      ["joint", "--input", "in.csv", "--n", "2"], None),
     ({"in.csv": b"x,f,g\n0.1,1,1\n0.5,\xff2,2\n"},
      ["joint", "--input", "in.csv", "--n", "1"], 3),
+    ({"in.csv": b"# samples\nx,\xfef,g\n0.1,1,1\n"},
+     ["joint", "--input", "in.csv", "--n", "1"], 2),
+    ({"in.csv": b"x,f,g\n" + b"0.25,1,2\n" * 49_998 + b"0.5,\xff2,2\n"},
+     ["joint", "--input", "in.csv", "--n", "1"], 50_000),
     ({"in.csv": TWO_ATOM_CSV.encode(), "rho.txt": b"2\n1 1\n1 0\n0 \xff1\n"},
      ["joint", "--input", "in.csv", "--n", "2", "--basis", "monomial",
       "--kinds", "density", "--rho", "spectral:rho.txt"], 4),
@@ -316,7 +338,8 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
        ["joint", "--input", "in.csv", "--n", "2", "--basis", "monomial",
         "--kinds", "density", "--rho", "spectral:rho.txt"], line)
       for rho, line in ((b"-1\n", 1), (b"2\n1 1\n1 0\n0\n", 4), (b"# c\nabc\n", 2))),
-], ids=["gram-overflow", "csv-not-utf8", "rho-not-utf8", "scenario-M-not-int",
+], ids=["gram-overflow", "csv-not-utf8", "csv-header-not-utf8", "csv-not-utf8-line-50000",
+        "rho-not-utf8", "scenario-M-not-int",
         "scenario-seed-not-int", "scenario-not-utf8", "scenario-huge-M",
         "scenario-law-overflow", "output-dir-missing", "input-path-nul",
         "operator-overflow", "epsilon-nan", "epsilon-inf", "epsilon-2", "epsilon-negative",

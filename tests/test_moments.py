@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,8 +219,46 @@ def test_gram_route_evaluates_n_basis_rows(monkeypatch, scenario_samples):
     samples = scenario_samples["smooth"]
     n = 128
     accumulate_grams(samples, BasisSpec(Family.LEGENDRE, n, DomainMap.from_samples(samples.x)), n)
-    chunk = moments._CHUNK_ELEMENTS // (2 * n)
+    chunk = max(moments._CHUNK_SAMPLES, moments._CHUNK_ELEMENTS // n)
     assert sizes == [n] * -(-samples.size // chunk)
+
+
+@pytest.mark.parametrize("n", [8, 32, 64, 1000])
+def test_moment_blocks_fit_the_budget_or_sit_at_the_floor(monkeypatch, n):
+    lengths = []
+    evaluate = moments.evaluate_all
+
+    def recorded(spec, x):
+        assert spec.size == n
+        lengths.append(x.size)
+        return evaluate(spec, x)
+
+    monkeypatch.setattr(moments, "evaluate_all", recorded)
+    M = 40_000
+    x = np.linspace(-1.0, 1.0, M)
+    basis = BasisSpec(Family.CHEBYSHEV, n, DomainMap(-1, 1))
+    accumulate_grams(SampleSet(x=x, w=np.ones(M), f=x), basis, n)
+    assert sum(lengths) == M and len(lengths) > 1
+    *full, last = lengths
+    assert len(set(full)) == 1 and 0 < last <= full[0]
+    for size in full:
+        assert n * size <= moments._CHUNK_ELEMENTS or size == moments._CHUNK_SAMPLES
+        assert size >= moments._CHUNK_SAMPLES
+
+
+def test_moment_pass_memory_is_one_cache_sized_block():
+    M, n = 200_000, 32
+    rng = np.random.default_rng(2)
+    x = rng.uniform(-1.0, 1.0, M)
+    s = SampleSet(x=x, w=rng.uniform(0.5, 1.5, M), f=np.sin(x), g=np.cos(x))
+    b = BasisSpec(Family.CHEBYSHEV, n, DomainMap(-1, 1))
+    tracemalloc.start()
+    try:
+        accumulate_grams(s, b, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_order_above_positive_weight_count_rejected_before_evaluation(monkeypatch):

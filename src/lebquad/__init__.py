@@ -12,7 +12,6 @@ from .datagen import Law, ScenarioSpec, builtin_scenario_names, generate, load_s
 from .errors import (
     ConditioningError,
     ConfigurationError,
-    DegreeRangeError,
     InputDataError,
     LebquadError,
     RhoMismatchError,
@@ -36,14 +35,7 @@ from .joint import (
     pureness_estimate,
     value_correlation,
 )
-from .moments import (
-    GramSet,
-    MomentSet,
-    SampleSet,
-    accumulate_grams,
-    grams_from_moments,
-    moments_from_samples,
-)
+from .moments import GramSet, SampleSet, accumulate_grams
 from .pipeline import AnalysisResult, analyze, basis_for_samples
 from .spectral import (
     EigenSolution,

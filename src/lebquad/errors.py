@@ -23,10 +23,6 @@ class ConfigurationError(LebquadError):
     """Invalid configuration: bad order, basis too small, bad parameters."""
 
 
-class DegreeRangeError(LebquadError):
-    """A polynomial degree exceeds the available moment range."""
-
-
 class ConditioningError(LebquadError):
     """Gram matrix is rank-deficient beyond the regularization budget."""
 

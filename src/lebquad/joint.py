@@ -7,6 +7,7 @@ with the quadrature amplitudes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,9 @@ class DensityMatrix:
     def __post_init__(self):
         R = np.asarray(self.R, dtype=float)
         scale = np.abs(R).max() or 1.0
-        if np.abs(R - R.T).max() > 1e-12 * scale:
-            raise InputDataError("density matrix must be symmetric")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite R is reported downstream
+            if np.abs(R - R.T).max() > 1e-12 * scale:
+                raise InputDataError("density matrix must be symmetric")
         object.__setattr__(self, "R", R)
 
     @property
@@ -68,13 +70,25 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class JointDistributionMatrix:
-    """An n x n joint weight matrix with its expected normalization."""
+    """An n x n joint weight matrix with its expected normalization.
+
+    W, its normalization and its total must be finite.
+    """
 
     kind: str
     W: np.ndarray
     normalization: float
     row_nodes: np.ndarray
     col_nodes: np.ndarray
+
+    def __post_init__(self):
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            finite = np.isfinite(self.W).all() and math.isfinite(self.residual)
+        if not finite:
+            raise InputDataError(
+                f"{self.kind} correlation is not finite: NaN in rho, "
+                f"or rho or sample values too large"
+            )
 
     @property
     def total(self) -> float:
@@ -93,17 +107,13 @@ class JointDistributionMatrix:
 
 def projection(quad_f: LebesgueQuadrature, quad_g: LebesgueQuadrature) -> ProjectionMatrix:
     """S, the g-eigenvectors over the f-eigenfunctions, as solve_in_f_basis
-    found them; equal to alpha_f^T G alpha_g in exact arithmetic."""
-    if quad_f.n != quad_g.n:
-        raise InputDataError(f"order mismatch: {quad_f.n} vs {quad_g.n}")
-    if quad_f.grams.basis != quad_g.grams.basis or quad_f.grams.G is not quad_g.grams.G:
-        if not np.array_equal(quad_f.grams.G, quad_g.grams.G):
-            raise InputDataError("quadratures were built on different Gram sets")
-    S = quad_g.eigensolution.in_f_basis
-    if S is None:
-        raise InputDataError("the g quadrature was not solved in the f-eigenbasis")
+    found them; equal to alpha_f^T G alpha_g in exact arithmetic.
+
+    quad_g must have been solved in quad_f's own eigenbasis."""
+    if quad_g.eigensolution.f_solution is not quad_f.eigensolution:
+        raise InputDataError("the g quadrature was not solved in this f-eigenbasis")
     return ProjectionMatrix(
-        S=S,
+        S=quad_g.eigensolution.in_f_basis,
         f_nodes=quad_f.nodes,
         g_nodes=quad_g.nodes,
         f_amplitudes=quad_f.amplitudes,
@@ -115,12 +125,15 @@ def projection(quad_f: LebesgueQuadrature, quad_g: LebesgueQuadrature) -> Projec
 def value_correlation(
     quad_f: LebesgueQuadrature, quad_g: LebesgueQuadrature, S: ProjectionMatrix
 ) -> JointDistributionMatrix:
-    """Signed measure of (f ~ f_i) and (g ~ g_j) sets; exact marginals."""
+    """Signed measure of (f ~ f_i) and (g ~ g_j) sets; exact marginals.
+
+    V is the density-matrix correlation at rho = |1><1|, normalized to the
+    total measure."""
     if S.n != quad_f.n or S.n != quad_g.n:
         raise InputDataError("projection and quadratures have mismatched orders")
-    V = quad_f.amplitudes[:, None] * S.S * quad_g.amplitudes[None, :]
     return JointDistributionMatrix(
-        kind=VALUE, W=V, normalization=S.total_measure,
+        kind=VALUE, W=_density_weights(S, density_from_pure_unit(quad_f)),
+        normalization=S.total_measure,
         row_nodes=S.f_nodes, col_nodes=S.g_nodes,
     )
 
@@ -156,8 +169,10 @@ def density_from_spectral(eigenvalues, vectors) -> DensityMatrix:
         )
     if np.abs(psi.T @ psi - np.eye(psi.shape[0])).max() > _ORTHO_TOL:
         raise InputDataError("spectral vectors are not orthonormal")
-    R = (psi * lam) @ psi.T
-    return DensityMatrix(R=0.5 * (R + R.T))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite R is reported downstream
+        R = (psi * lam) @ psi.T
+        R = 0.5 * (R + R.T)
+    return DensityMatrix(R=R)
 
 
 def _check_dims(S: ProjectionMatrix, rho: DensityMatrix) -> None:
@@ -165,17 +180,18 @@ def _check_dims(S: ProjectionMatrix, rho: DensityMatrix) -> None:
         raise InputDataError(f"dimension mismatch: rho is {rho.n}, projection is {S.n}")
 
 
+def _density_weights(S: ProjectionMatrix, rho: DensityMatrix) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by JointDistributionMatrix
+        return S.S * (rho.R @ S.S)
+
+
 def density_matrix_correlation(S: ProjectionMatrix, rho: DensityMatrix) -> JointDistributionMatrix:
     """General correlation S_ij * (R S)_ij, normalized to the spur of rho."""
     _check_dims(S, rho)
-    if np.array_equal(rho.R, np.outer(S.f_amplitudes, S.f_amplitudes)):
-        # pure-unit rho: <1|psi_g_j> equals the g-amplitude analytically;
-        # using it keeps this case bit-identical to value_correlation
-        W = S.f_amplitudes[:, None] * S.S * S.g_amplitudes[None, :]
-    else:
-        W = S.S * (rho.R @ S.S)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by JointDistributionMatrix
+        spur = rho.spur
     return JointDistributionMatrix(
-        kind=DENSITY, W=W, normalization=rho.spur,
+        kind=DENSITY, W=_density_weights(S, rho), normalization=spur,
         row_nodes=S.f_nodes, col_nodes=S.g_nodes,
     )
 
@@ -183,9 +199,11 @@ def density_matrix_correlation(S: ProjectionMatrix, rho: DensityMatrix) -> Joint
 def pure_squared_correlation(S: ProjectionMatrix, rho: DensityMatrix) -> JointDistributionMatrix:
     """Squared correlation ((R S)_ij)^2; factorizes for rank-1 rho."""
     _check_dims(S, rho)
-    W = (rho.R @ S.S) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by JointDistributionMatrix
+        W = (rho.R @ S.S) ** 2
+        total = float(W.sum())
     return JointDistributionMatrix(
-        kind=PURE_SQUARED, W=W, normalization=float(W.sum()),
+        kind=PURE_SQUARED, W=W, normalization=total,
         row_nodes=S.f_nodes, col_nodes=S.g_nodes,
     )
 

@@ -2,14 +2,13 @@
 
 Every Gram and operator matrix <Q_j Q_k>, <Q_j f Q_k>, <Q_j g Q_k> of order
 n follows, by the basis recurrence, from its first row <Q_k> and its last
-column <Q_{n-1} Q_k>. The samples are read once, in chunks, evaluating n
-basis rows and reducing them to each Gram's first row and last column
-(:func:`moments_from_samples`, O(M n) time, O(chunk n) memory); the
-recurrence fills the rest from those alone (:func:`grams_from_moments`,
-O(n^2)). :func:`accumulate_grams` chains the two and is the only Gram
-route of the pipeline. A chunk's block of basis rows is kept to about
-1 MiB, so that it stays in L2 cache, but a chunk holds at least 4096
-samples (see _CHUNK_ELEMENTS).
+column <Q_{n-1} Q_k>. :func:`accumulate_grams`, the one Gram route, reads
+the samples once, in chunks, evaluating n basis rows and reducing them to
+each Gram's first row and last column (O(M n) time, O(chunk n) memory);
+the recurrence fills the rest from those alone (:func:`_mixed_moments`,
+O(n^2)). A chunk's block of basis rows is kept to about 1 MiB, so that it
+stays in L2 cache, but a chunk holds at least 4096 samples (see
+_CHUNK_ELEMENTS).
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import BasisSpec, evaluate_all, recurrence_coefficients
-from .errors import ConditioningError, ConfigurationError, DegreeRangeError, InputDataError
+from .errors import ConditioningError, ConfigurationError, InputDataError
 
 # A chunk's block of n basis rows holds about _CHUNK_ELEMENTS doubles
 # (1 MiB), so that it stays in a core's L2 cache (2 MiB on the Xeon it was
@@ -106,15 +105,27 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class GramSet:
-    """Gram matrices and moment vector of a SampleSet in a given basis."""
+    """Gram and operator matrices of a SampleSet in a given basis.
 
-    n: int
+    Row 0 of G is the moment vector <Q_k>, and G[0, 0] the total measure.
+    """
+
     G: np.ndarray
     A_f: np.ndarray
-    m: np.ndarray
-    total_measure: float
     basis: BasisSpec
     A_g: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.G.shape[0]
+
+    @property
+    def m(self) -> np.ndarray:
+        return self.G[0]
+
+    @property
+    def total_measure(self) -> float:
+        return float(self.G[0, 0])
 
     @property
     def has_g(self) -> bool:
@@ -128,35 +139,6 @@ class GramSet:
                 raise ConfigurationError("samples carried no g column")
             return self.A_g
         raise ConfigurationError(f"unknown process {which!r}, expected 'f' or 'g'")
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """First rows and last columns of the Grams of order n = len(mu).
-
-    ``mu[k]`` = <Q_k>, ``mu_f[k]`` = <f Q_k>, ``mu_g[k]`` = <g Q_k> and
-    ``last[k]`` = <Q_{n-1} Q_k>, ``last_f[k]`` = <f Q_{n-1} Q_k>,
-    ``last_g[k]`` = <g Q_{n-1} Q_k>, for k = 0 .. n-1.
-    """
-
-    basis: BasisSpec
-    mu: np.ndarray
-    mu_f: np.ndarray
-    last: np.ndarray
-    last_f: np.ndarray
-    mu_g: np.ndarray | None = None
-    last_g: np.ndarray | None = None
-
-    @property
-    def has_g(self) -> bool:
-        return self.mu_g is not None
-
-
-def _check_order(n: int, basis: BasisSpec) -> None:
-    if n < 1:
-        raise ConfigurationError(f"order must be >= 1, got {n}")
-    if basis.size < n:
-        raise ConfigurationError(f"basis size {basis.size} too small, need at least {n}")
 
 
 def _mirror(M: np.ndarray) -> np.ndarray:
@@ -173,8 +155,18 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
     So are orders above :func:`max_order`, whose arrays would not fit in
     physical memory. Finite samples whose sums overflow to inf or NaN raise
     InputDataError.
+
+    The samples are streamed in chunks of max(_CHUNK_SAMPLES,
+    _CHUNK_ELEMENTS // n) samples: each chunk's block of basis rows
+    Q_0 .. Q_{n-1} is reduced with one small matmul against the columns
+    [w, w f, w g] and the same columns times Q_{n-1}, written in place into
+    one operand allocated once. That gives each Gram's first row and last
+    column; :func:`_mixed_moments` fills in the rest.
     """
-    _check_order(n, basis)
+    if n < 1:
+        raise ConfigurationError(f"order must be >= 1, got {n}")
+    if basis.size < n:
+        raise ConfigurationError(f"basis size {basis.size} too small, need at least {n}")
     support = int(np.count_nonzero(samples.w))
     if n > support:
         raise ConditioningError(
@@ -187,49 +179,32 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
             f"n x n arrays, more than the {physical_memory() / 2**30:.3g} GiB of "
             f"physical memory"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        grams = grams_from_moments(moments_from_samples(samples, basis, n), n)
-    for name, M in (("G", grams.G), ("A_f", grams.A_f), ("A_g", grams.A_g)):
-        if M is not None and not np.isfinite(M).all():
-            raise InputDataError(
-                f"Gram matrix {name} overflows: sample values too large for order {n}"
-            )
-    return grams
-
-
-def moments_from_samples(samples: SampleSet, basis: BasisSpec, n: int) -> MomentSet:
-    """First rows and last columns of the order-n Grams of dmu, f dmu, g dmu.
-
-    The samples are streamed in chunks of max(_CHUNK_SAMPLES,
-    _CHUNK_ELEMENTS // n) samples: each chunk's block of basis rows
-    Q_0 .. Q_{n-1} is reduced with one small matmul against the columns
-    [w, w f, w g] and the same columns times Q_{n-1}, written in place into
-    one operand allocated once.
-    """
-    _check_order(n, basis)
     rows = replace(basis, size=n)
     chunk = min(max(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // n), samples.size)
     measures = 3 if samples.has_g else 2
     columns = [samples.f] + ([samples.g] if samples.has_g else [])
     operand = np.empty((2 * measures, chunk))  # rows: w, w f, w g, then each times Q_{n-1}
-    acc = np.zeros((n, 2 * measures))
-    for start in range(0, samples.size, chunk):
-        part = slice(start, start + chunk)
-        w = samples.w[part]
-        op = operand[:, :w.size]
-        op[0] = w
-        for row, column in enumerate(columns, start=1):
-            np.multiply(w, column[part], out=op[row])
-        Q = evaluate_all(rows, samples.x[part])
-        np.multiply(op[:measures], Q[-1], out=op[measures:])
-        acc += Q @ op.T
-        del Q  # the next chunk's block is allocated only after this one is freed
-    first, last = acc[:, :measures].T.copy(), acc[:, measures:].T.copy()
-    return MomentSet(
-        basis=basis, mu=first[0], mu_f=first[1], last=last[0], last_f=last[1],
-        mu_g=first[2] if samples.has_g else None,
-        last_g=last[2] if samples.has_g else None,
-    )
+    acc = np.zeros((n, 2 * measures))  # columns: first rows, then last columns
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        for start in range(0, samples.size, chunk):
+            part = slice(start, start + chunk)
+            w = samples.w[part]
+            op = operand[:, :w.size]
+            op[0] = w
+            for row, column in enumerate(columns, start=1):
+                np.multiply(w, column[part], out=op[row])
+            Q = evaluate_all(rows, samples.x[part])
+            np.multiply(op[:measures], Q[-1], out=op[measures:])
+            acc += Q @ op.T
+            del Q  # the next chunk's block is allocated only after this one is freed
+        G, A_f, *A_g = _mixed_moments(basis, acc[:, :measures].T, acc[:, measures:].T)
+    A_g = A_g[0] if A_g else None
+    for name, M in (("G", G), ("A_f", A_f), ("A_g", A_g)):
+        if M is not None and not np.isfinite(M).all():
+            raise InputDataError(
+                f"Gram matrix {name} overflows: sample values too large for order {n}"
+            )
+    return GramSet(G=G, A_f=A_f, basis=basis, A_g=A_g)
 
 
 def _mixed_moments(basis: BasisSpec, first: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -256,24 +231,3 @@ def _mixed_moments(basis: BasisSpec, first: np.ndarray, last: np.ndarray) -> np.
             nxt -= c[j] * sigma[..., j - 1, :width]
         nxt /= a[j]
     return _mirror(sigma)
-
-
-def grams_from_moments(moments: MomentSet, n: int) -> GramSet:
-    """Gram matrices filled in from their first rows and last columns, O(n^2).
-
-    An order below the MomentSet's gives the leading block of its Grams.
-    """
-    if n < 1:
-        raise ConfigurationError(f"order must be >= 1, got {n}")
-    if n > moments.mu.size:
-        raise DegreeRangeError(
-            f"order {n} needs moments of order {n}, got {moments.mu.size}"
-        )
-    first = [moments.mu, moments.mu_f] + ([moments.mu_g] if moments.has_g else [])
-    last = [moments.last, moments.last_f] + ([moments.last_g] if moments.has_g else [])
-    sigma = _mixed_moments(moments.basis, np.stack(first), np.stack(last))
-    G, A_f, *A_g = sigma[:, :n, :n]
-    return GramSet(
-        n=n, G=G, A_f=A_f, A_g=A_g[0] if A_g else None, m=moments.mu[:n].copy(),
-        total_measure=float(moments.mu[0]), basis=moments.basis,
-    )

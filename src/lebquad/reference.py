@@ -26,9 +26,8 @@ def direct_grams(samples, basis, n):
         return (Q * weights) @ Q.T
 
     return GramSet(
-        n=n, G=gram(w), A_f=gram(w * samples.f),
+        G=gram(w), A_f=gram(w * samples.f), basis=basis,
         A_g=gram(w * samples.g) if samples.has_g else None,
-        m=Q @ w, total_measure=float(w.sum()), basis=basis,
     )
 
 

@@ -26,8 +26,10 @@ class EigenSolution:
     eigenvalues: np.ndarray  # ascending
     alpha: np.ndarray  # column i is the coefficient vector over Q_k
     effective_rank: int
-    # column i over the f-eigenfunctions, for a solution from solve_in_f_basis:
-    # the projection S between the two eigenbases
+    # for a solution from solve_in_f_basis: the f solution it was solved in,
+    # and column i over its eigenfunctions, the projection S between the two
+    # eigenbases
+    f_solution: EigenSolution | None = None
     in_f_basis: np.ndarray | None = None
 
 
@@ -160,7 +162,8 @@ def solve_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> EigenSolutio
     """Solve the g-problem in the f-eigenbasis, where the pencil has unit
     right-hand side, then back-transform coefficients to the Q-basis.
 
-    The eigenvectors over the f-eigenfunctions are kept as ``in_f_basis``.
+    The eigenvectors over the f-eigenfunctions are kept as ``in_f_basis``,
+    and quad_f's solution as ``f_solution``.
     """
     A_g = grams.operator("g")
     alpha_f = quad_f.eigensolution.alpha
@@ -174,7 +177,8 @@ def solve_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> EigenSolutio
     signs = _signs(alpha_g, grams.m, grams.total_measure)
     return EigenSolution(
         n=grams.n, eigenvalues=lam, alpha=alpha_g * signs,
-        effective_rank=quad_f.eigensolution.effective_rank, in_f_basis=beta * signs,
+        effective_rank=quad_f.eigensolution.effective_rank,
+        f_solution=quad_f.eigensolution, in_f_basis=beta * signs,
     )
 
 

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
 import tracemalloc
@@ -338,12 +339,19 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
        ["joint", "--input", "in.csv", "--n", "2", "--basis", "monomial",
         "--kinds", "density", "--rho", "spectral:rho.txt"], line)
       for rho, line in ((b"-1\n", 1), (b"2\n1 1\n1 0\n0\n", 4), (b"# c\nabc\n", 2))),
+    *(({"rho.txt": rho},
+       ["joint", "--scenario", "smooth", "--n", "2", "--kinds", "density,pure_squared",
+        "--rho", "spectral:rho.txt"], None)
+      for rho in (b"2\nnan 1\n1 0\n0 1\n", b"2\n1e308 1e308\n1 0\n0 1\n")),
+    ({"in.csv": b"x,w,f,g\n-1,1e200,1,0\n0,1e200,2,1\n1,1e200,3,0\n"},
+     ["joint", "--input", "in.csv", "--n", "2", "--kinds", "pure_squared"], None),
 ], ids=["gram-overflow", "csv-not-utf8", "csv-header-not-utf8", "csv-not-utf8-line-50000",
         "rho-not-utf8", "scenario-M-not-int",
         "scenario-seed-not-int", "scenario-not-utf8", "scenario-huge-M",
         "scenario-law-overflow", "output-dir-missing", "input-path-nul",
         "operator-overflow", "epsilon-nan", "epsilon-inf", "epsilon-2", "epsilon-negative",
-        "rho-order-negative", "rho-ragged-row", "rho-comment-then-text"])
+        "rho-order-negative", "rho-ragged-row", "rho-comment-then-text",
+        "rho-nan", "rho-overflow", "joint-overflow"])
 @pytest.mark.filterwarnings("error")  # a numpy warning would be one more stderr line
 def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     monkeypatch.chdir(tmp_path)
@@ -456,6 +464,16 @@ def _scenario_file(draw):
     return draw(_file(draw(st.permutations(lines))))
 
 
+def _finite(text):
+    value = float(text)
+    assert math.isfinite(value), text
+    return value
+
+
+def _not_a_number(name):
+    raise AssertionError(f"{name} in the output")
+
+
 @settings(max_examples=80, deadline=None)
 @given(csv=_csv_file(), rho=_rho_file(), scenario=_scenario_file(),
        command=st.sampled_from(["quadrature", "joint"]),
@@ -466,7 +484,7 @@ def _scenario_file(draw):
        epsilon=st.sampled_from(["1e-12", "0", "-1", "nan", "inf", "1"]))
 def test_cli_exit_code_contract(csv, rho, scenario, command, source, rho_source, n, epsilon):
     """Whatever the input files and flags, the CLI returns 0, 2, 3 or 4 and
-    raises nothing."""
+    raises nothing; on 0 its output is JSON whose numbers are all finite."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, data in (("in.csv", csv), ("rho.txt", rho), ("s.scenario", scenario)):
@@ -479,4 +497,8 @@ def test_cli_exit_code_contract(csv, rho, scenario, command, source, rho_source,
             rho_arg = f"spectral:{paths['rho.txt']}" if rho_source == "spectral" else rho_source
             args += ["--kinds", ",".join(KINDS), "--rho", rho_arg]
         with contextlib.redirect_stderr(io.StringIO()):
-            assert main(args) in (0, 2, 3, 4)
+            code = main(args)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            with open(os.path.join(tmp, "out"), encoding="utf-8") as fh:
+                json.loads(fh.read(), parse_float=_finite, parse_constant=_not_a_number)

@@ -79,6 +79,18 @@ def test_projection_needs_g_solved_in_f_basis(smooth_result):
         projection(smooth_result.quad_f, direct)
 
 
+def test_projection_rejects_g_solved_in_another_f_basis():
+    """Two analyses of the same x and w share G bit for bit, but each g is
+    solved in its own f-eigenbasis; mixing them breaks V's marginals."""
+    x = np.random.default_rng(0).uniform(-1, 1, 2000)
+    w, g = np.ones(x.size), np.cos(2 * x)
+    r1 = analyze(SampleSet(x=x, w=w, f=np.sin(3 * x), g=g), n=6)
+    r2 = analyze(SampleSet(x=x, w=w, f=x**3, g=g), n=6)
+    assert np.array_equal(r1.grams.G, r2.grams.G)
+    with pytest.raises(InputDataError, match="f-eigenbasis"):
+        projection(r1.quad_f, r2.quad_g)
+
+
 # parameter ranges drawn for the built-in scenarios' laws
 _LAW_RANGES = {
     "clustered": {"centers": (1.0, 6.0), "width": (0.005, 0.1)},

@@ -11,14 +11,11 @@ from lebquad import (
     BasisSpec,
     ConditioningError,
     ConfigurationError,
-    DegreeRangeError,
     DomainMap,
     Family,
     InputDataError,
     SampleSet,
     accumulate_grams,
-    grams_from_moments,
-    moments_from_samples,
 )
 
 
@@ -62,36 +59,38 @@ def test_two_atom_order_two_grams(two_atom):
 
 
 def test_two_atom_moments(two_atom):
-    mom = moments_from_samples(two_atom, monomial(2), 2)
-    np.testing.assert_allclose(mom.mu, [2.0, 0.0])
-    np.testing.assert_allclose(mom.last, [0.0, 2.0])
-    np.testing.assert_allclose(mom.mu_f, [0.0, 2.0])
-    np.testing.assert_allclose(mom.last_f, [2.0, 0.0])
+    grams = accumulate_grams(two_atom, monomial(2), 2)
+    np.testing.assert_allclose(grams.G[0], [2.0, 0.0])
+    np.testing.assert_allclose(grams.G[:, -1], [0.0, 2.0])
+    np.testing.assert_allclose(grams.A_f[0], [0.0, 2.0])
+    np.testing.assert_allclose(grams.A_f[:, -1], [2.0, 0.0])
 
 
 def test_single_sample_moments():
-    s = SampleSet(x=np.array([0.3]), w=np.array([1.0]), f=np.array([4.5]))
+    # order 2 needs two samples of positive weight; each adds its own terms
+    x, f = np.array([0.3, 0.8]), np.array([4.5, 1.5])
+    s = SampleSet(x=x, w=np.ones(2), f=f)
     b = monomial(2, 0.0, 1.0)
-    mom = moments_from_samples(s, b, 2)
-    t = b.domain(0.3)
-    np.testing.assert_allclose(mom.mu, [1.0, t])
-    np.testing.assert_allclose(mom.last, [t, t * t])
-    np.testing.assert_allclose(mom.mu_f, [4.5, 4.5 * t])
-    np.testing.assert_allclose(mom.last_f, [4.5 * t, 4.5 * t * t])
+    grams = accumulate_grams(s, b, 2)
+    t = b.domain(x)
+    np.testing.assert_allclose(grams.G[0], [2.0, t.sum()])
+    np.testing.assert_allclose(grams.G[:, -1], [t.sum(), (t * t).sum()])
+    np.testing.assert_allclose(grams.A_f[0], [f.sum(), (f * t).sum()])
+    np.testing.assert_allclose(grams.A_f[:, -1], [(f * t).sum(), (f * t * t).sum()])
 
 
 def test_riemann_sum_moments():
     M = 10**4
     x = np.linspace(-1, 1, M)
     s = SampleSet(x=x, w=np.full(M, 2.0 / M), f=x)
-    mom = moments_from_samples(s, monomial(2), 2)
-    np.testing.assert_allclose(mom.mu, [2.0, 0.0], atol=1e-3)
-    np.testing.assert_allclose(mom.last, [0.0, 2.0 / 3.0], atol=1e-3)
+    grams = accumulate_grams(s, monomial(2), 2)
+    np.testing.assert_allclose(grams.G[0], [2.0, 0.0], atol=1e-3)
+    np.testing.assert_allclose(grams.G[:, -1], [0.0, 2.0 / 3.0], atol=1e-3)
 
 
 def test_grams_from_moments_matches_direct(two_atom):
     direct = reference.direct_grams(two_atom, monomial(2), 2)
-    via = grams_from_moments(moments_from_samples(two_atom, monomial(2), 2), 2)
+    via = accumulate_grams(two_atom, monomial(2), 2)
     np.testing.assert_allclose(via.G, direct.G, rtol=1e-10)
     np.testing.assert_allclose(via.A_f, direct.A_f, rtol=1e-10)
     np.testing.assert_allclose(via.A_g, direct.A_g, rtol=1e-10)
@@ -99,7 +98,7 @@ def test_grams_from_moments_matches_direct(two_atom):
 
 
 def test_order_one_gram_from_moments(two_atom):
-    via = grams_from_moments(moments_from_samples(two_atom, monomial(1), 1), 1)
+    via = accumulate_grams(two_atom, monomial(1), 1)
     np.testing.assert_allclose(via.G, [[2.0]])
     np.testing.assert_allclose(via.A_f, [[0.0]])
 
@@ -109,9 +108,8 @@ def test_chebyshev_square_linearization_in_gram():
     x = rng.uniform(-1, 1, 200)
     s = SampleSet(x=x, w=np.ones(200), f=x)
     b = BasisSpec(family=Family.CHEBYSHEV, size=3, domain=DomainMap(-1, 1))
-    mom = moments_from_samples(s, b, 3)
-    grams = grams_from_moments(mom, 3)
-    assert grams.G[1, 1] == pytest.approx((mom.mu[0] + mom.mu[2]) / 2, rel=1e-14)
+    grams = accumulate_grams(s, b, 3)
+    assert grams.G[1, 1] == pytest.approx((grams.G[0, 0] + grams.G[0, 2]) / 2, rel=1e-14)
 
 
 @pytest.mark.parametrize("family, n", [
@@ -126,7 +124,7 @@ def test_path_equivalence_random_data(family, n):
                   f=np.sin(x), g=np.cos(x))
     basis = BasisSpec(family, n, DomainMap.from_samples(x))
     direct = reference.direct_grams(s, basis, n)
-    via = grams_from_moments(moments_from_samples(s, basis, n), n)
+    via = accumulate_grams(s, basis, n)
     scale = np.abs(direct.G).max()
     assert np.abs(via.G - direct.G).max() <= 1e-10 * scale
     assert np.abs(via.A_f - direct.A_f).max() <= 1e-10 * np.abs(direct.A_f).max()
@@ -200,11 +198,6 @@ def test_configuration_errors(two_atom):
         accumulate_grams(two_atom, monomial(2), 3)
     with pytest.raises(ConfigurationError):
         accumulate_grams(two_atom, monomial(2), 0)
-    with pytest.raises(ConfigurationError):
-        moments_from_samples(two_atom, monomial(2), 3)
-    mom = moments_from_samples(two_atom, monomial(2), 2)
-    with pytest.raises(DegreeRangeError):
-        grams_from_moments(mom, 3)
 
 
 def test_gram_route_evaluates_n_basis_rows(monkeypatch, scenario_samples):

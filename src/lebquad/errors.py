@@ -9,14 +9,18 @@ class InputDataError(LebquadError):
     """Malformed or inconsistent input data (bad values, mismatched shapes).
 
     ``line`` carries a 1-based line number when the error originates from a
-    parsed file, otherwise None.
+    parsed file, ``record`` a 1-based record number when it names one bad
+    sample of a SampleSet; both are None otherwise. ``reason`` is the
+    message without either.
     """
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, record=None):
+        self.reason, self.line, self.record = message, line, record
         if line is not None:
             message = f"line {line}: {message}"
+        if record is not None:
+            message = f"{message} at record {record}"
         super().__init__(message)
-        self.line = line
 
 
 class ConfigurationError(LebquadError):

@@ -6,7 +6,6 @@ emitted files round-trip bit-exactly.
 from __future__ import annotations
 
 import io as _io
-import re
 import warnings
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
@@ -17,16 +16,6 @@ from .errors import InputDataError
 from .moments import SampleSet
 
 FLOAT_FMT = "%.17g"
-
-# Lines end at \r\n, \r or \n: Python's universal newlines, which np.loadtxt
-# reads by. (str.splitlines also splits at \x0b, \x0c, \x1c-\x1e, \x85,
-# \u2028 and \u2029; loadtxt does not.)
-_LINE_END = re.compile(r"\r\n|\r|\n")
-# np.loadtxt's two reports of a bad record: "could not convert string ... at
-# row R, column C" (R counts data rows from 0, C columns from 1) and "the
-# number of columns changed from A to B at row R" (R counts from 1).
-_LOADTXT_ROW = re.compile(r"at row (\d+)(?:, column (\d+))?")
-
 
 def _fmt(value: float) -> str:
     return FLOAT_FMT % float(value)
@@ -57,16 +46,6 @@ def read_text(path: str) -> str:
         ) from None
 
 
-def _lines(text: str) -> Iterator[str]:
-    """The lines of ``text`` without their ends, one at a time."""
-    start = 0
-    for end in _LINE_END.finditer(text):
-        yield text[start:end.start()]
-        start = end.end()
-    if start < len(text):
-        yield text[start:]
-
-
 def _numbered_content(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -76,44 +55,60 @@ def _numbered_content(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 
 def content_lines(text: str) -> Iterator[tuple[int, str]]:
     """(file line number, stripped line) for each line of ``text`` that is
-    neither blank nor a '#' comment; numbering counts every line."""
-    return _numbered_content(_lines(text))
+    neither blank nor a '#' comment; numbering counts every line, and lines
+    end at LF, CR LF or CR, as np.loadtxt reads them."""
+    return _numbered_content(_io.StringIO(text, newline=None))
 
 
-def _records(path: str, skiprows: int, sep: str | None) -> Iterator[tuple[int, list[str]]]:
-    """(file line number, fields) of each line after the first ``skiprows``
-    that np.loadtxt reads as a record: one whose text before any '#' splits
-    at ``sep`` into at least one field. With sep None (whitespace) blank
-    lines are skipped; with ',' only empty ones are."""
-    lines = enumerate(_lines(read_text(path)), start=1)
-    for lineno, raw in islice(lines, skiprows, None):
-        body = raw.partition("#")[0]
-        fields = body.split(sep) if body else []
-        if fields:
-            yield lineno, fields
+def _last_line_read(text: str, skiprows: int, sep: str | None,
+                    max_rows: int | None = None) -> tuple[int, str]:
+    """(file line number, line) of the last line np.loadtxt reads of
+    ``text`` after its first ``skiprows`` lines. With ``max_rows`` that is
+    the line of record ``max_rows``; without, the line of the first record
+    loadtxt rejects."""
+    last = (skiprows, "")
+
+    def lines():
+        nonlocal last
+        for last in enumerate(islice(_io.StringIO(text, newline=None), skiprows, None),
+                              start=skiprows + 1):
+            yield last[1]
+
+    with warnings.catch_warnings():
+        # blank and comment lines do not count towards max_rows, as intended
+        warnings.filterwarnings("ignore", "Input line", UserWarning)
+        try:
+            np.loadtxt(lines(), delimiter=sep, max_rows=max_rows)
+        except ValueError:
+            pass
+    return last
 
 
-def _bad_record(path: str, skiprows: int, sep: str | None, columns: Sequence,
-                report: str | None = None) -> InputDataError:
-    """The first record np.loadtxt rejected, as an error at its file line.
-
-    loadtxt takes the width from the first record, so a first record whose
-    width is not len(columns) is the fault; otherwise ``report``, loadtxt's
-    message, names the record.
-    """
-    records = _records(path, skiprows, sep)
-    lineno, fields = first = next(records)
+def _record_error(lineno: int, line: str, sep: str | None,
+                  columns: Sequence) -> InputDataError | None:
+    """The fault of one record line, if it has one: a width that is not
+    len(columns), or a field that np.loadtxt does not read as a number."""
+    fields = np.loadtxt([line], delimiter=sep, dtype=str, ndmin=1).tolist()
     if len(fields) != len(columns):
         return InputDataError(f"expected {len(columns)} fields, got {len(fields)}", line=lineno)
-    row, column = _LOADTXT_ROW.search(report).groups()
-    index = int(row) if column else int(row) - 1  # 0-based
-    lineno, fields = first if index == 0 else next(islice(records, index - 1, None))
-    if not column:
-        return InputDataError(f"expected {len(columns)} fields, got {len(fields)}", line=lineno)
-    col = int(column) - 1
-    return InputDataError(
-        f"non-numeric value {fields[col]!r} in column {columns[col]!r}", line=lineno
-    )
+    for col, name in enumerate(columns):
+        try:
+            np.loadtxt([line], delimiter=sep, usecols=col)
+        except ValueError:
+            return InputDataError(f"non-numeric value {fields[col]!r} in column {name!r}",
+                                  line=lineno)
+    return None
+
+
+def _bad_record(path: str, skiprows: int, sep: str | None, columns: Sequence) -> InputDataError:
+    """The first record np.loadtxt rejected, as an error at its file line.
+
+    loadtxt takes the width from the first record, so the first record is
+    checked on its own before loadtxt is run again up to the one it rejects.
+    """
+    text = read_text(path)
+    return (_record_error(*_last_line_read(text, skiprows, sep, max_rows=1), sep, columns)
+            or _record_error(*_last_line_read(text, skiprows, sep), sep, columns))
 
 
 def _read_table(path: str, sep: str | None, columns_of: Callable[[int | None, str], Sequence]
@@ -144,9 +139,9 @@ def _read_table(path: str, sep: str | None, columns_of: Callable[[int | None, st
         except UnicodeDecodeError:  # a ValueError too, so caught first
             read_text(path)  # raises InputDataError at the line of the bad byte
             raise
-        except ValueError as exc:  # loadtxt's report of a bad record
-            raise _bad_record(path, lineno, sep, columns, str(exc)) from None
-    if table.size and table.shape[1] != len(columns):
+        except ValueError:  # loadtxt rejected a record
+            table = None
+    if table is None or (table.size and table.shape[1] != len(columns)):
         raise _bad_record(path, lineno, sep, columns)
     return lineno, columns, table
 
@@ -167,28 +162,24 @@ def read_samples_csv(path: str) -> SampleSet:
     The header is the first line that is neither blank nor a '#' comment.
     Every later line is one record of comma-separated decimals (no quoting;
     a trailing '#' comment is allowed), except empty lines and lines that
-    start with '#'. Lines end at LF, CR LF or CR. Any malformed, non-finite or
-    negative-weight record rejects the whole file with its line number.
+    start with '#'. Lines end at LF, CR LF or CR. A malformed record, or the
+    record of SampleSet's first non-finite value or negative weight, rejects
+    the whole file with its line number.
     """
     lineno, header, table = _read_table(path, ",", _sample_columns)
     data = table.T.copy()  # one contiguous row per column
-    del table  # else the checks below would raise the parse's peak
+    del table  # else SampleSet's checks would raise the parse's peak
     if not data.size:
         raise InputDataError(f"{path} contains no data rows")
-
     cols = dict(zip(header, data))
-    finite = np.isfinite(data)
-    bad = ~finite.all(axis=0) | (cols.get("w", 0.0) < 0)
-    if bad.any():
-        # the first offending record, checked in the order a row scan would
-        row = int(bad.argmax())
-        lineno = next(islice(_records(path, lineno, ","), row, None))[0]
-        if not finite[:, row].all():
-            name = header[int(finite[:, row].argmin())]
-            raise InputDataError(f"non-finite value in column '{name}'", line=lineno)
-        raise InputDataError(f"negative weight {cols['w'][row]}", line=lineno)
-    return SampleSet(x=cols["x"], w=cols.get("w", np.ones(data.shape[1])),
-                     f=cols["f"], g=cols.get("g"))
+    try:
+        return SampleSet(x=cols["x"], w=cols.get("w", np.ones(data.shape[1])),
+                         f=cols["f"], g=cols.get("g"))
+    except InputDataError as exc:
+        if exc.record is None:
+            raise
+        line = _last_line_read(read_text(path), lineno, ",", max_rows=exc.record)[0]
+        raise InputDataError(exc.reason, line=line) from None
 
 
 def write_samples_csv(path: str, samples: SampleSet) -> None:

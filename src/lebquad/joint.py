@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDataError
-from .spectral import LebesgueQuadrature
+from .spectral import LebesgueQuadrature, symmetrized
 
 _ORTHO_TOL = 1e-8
 
@@ -29,15 +29,13 @@ class ProjectionMatrix:
     """Overlaps S_ij between the f- and g-eigenfunctions.
 
     Both eigenbases are orthonormal bases of the same span, so S is an
-    orthogonal matrix. Node and amplitude vectors of both quadratures are
-    carried along so downstream estimators need only this object.
+    orthogonal matrix. The node vectors of both quadratures and the total
+    measure are carried along for the estimators built on it.
     """
 
     S: np.ndarray
     f_nodes: np.ndarray
     g_nodes: np.ndarray
-    f_amplitudes: np.ndarray
-    g_amplitudes: np.ndarray
     total_measure: float
 
     @property
@@ -47,17 +45,16 @@ class ProjectionMatrix:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A density operator expressed in the f-eigenbasis."""
+    """A density operator expressed in the f-eigenbasis.
+
+    R is stored symmetrized (see :func:`spectral.symmetrized`); a non-finite
+    R is reported by the correlations built on it.
+    """
 
     R: np.ndarray
 
     def __post_init__(self):
-        R = np.asarray(self.R, dtype=float)
-        scale = np.abs(R).max() or 1.0
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite R is reported downstream
-            if np.abs(R - R.T).max() > 1e-12 * scale:
-                raise InputDataError("density matrix must be symmetric")
-        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "R", symmetrized(self.R, "density matrix"))
 
     @property
     def spur(self) -> float:
@@ -116,8 +113,6 @@ def projection(quad_f: LebesgueQuadrature, quad_g: LebesgueQuadrature) -> Projec
         S=quad_g.eigensolution.in_f_basis,
         f_nodes=quad_f.nodes,
         g_nodes=quad_g.nodes,
-        f_amplitudes=quad_f.amplitudes,
-        g_amplitudes=quad_g.amplitudes,
         total_measure=quad_f.grams.total_measure,
     )
 
@@ -167,12 +162,10 @@ def density_from_spectral(eigenvalues, vectors) -> DensityMatrix:
             f"spectral form needs n values and an n x n vector matrix, "
             f"got {lam.size} and {psi.shape}"
         )
-    if np.abs(psi.T @ psi - np.eye(psi.shape[0])).max() > _ORTHO_TOL:
-        raise InputDataError("spectral vectors are not orthonormal")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite R is reported downstream
-        R = (psi * lam) @ psi.T
-        R = 0.5 * (R + R.T)
-    return DensityMatrix(R=R)
+        if np.abs(psi.T @ psi - np.eye(psi.shape[0])).max() > _ORTHO_TOL:
+            raise InputDataError("spectral vectors are not orthonormal")
+        return DensityMatrix(R=(psi * lam) @ psi.T)
 
 
 def _check_dims(S: ProjectionMatrix, rho: DensityMatrix) -> None:

@@ -71,18 +71,22 @@ class SampleSet:
         w = np.asarray(self.w, dtype=float)
         f = np.asarray(self.f, dtype=float)
         g = None if self.g is None else np.asarray(self.g, dtype=float)
+        columns = (("x", x), ("w", w), ("f", f)) + (() if g is None else (("g", g),))
         if x.ndim != 1 or x.size < 1:
             raise InputDataError("need at least one sample")
-        for name, arr in (("w", w), ("f", f)) + (() if g is None else (("g", g),)):
+        for name, arr in columns[1:]:
             if arr.shape != x.shape:
                 raise InputDataError(f"column '{name}' has {arr.size} entries, expected {x.size}")
-        for name, arr in (("x", x), ("w", w), ("f", f)) + (() if g is None else (("g", g),)):
-            bad = np.flatnonzero(~np.isfinite(arr))
-            if bad.size:
-                raise InputDataError(f"non-finite value in column '{name}' at record {bad[0] + 1}")
-        neg = np.flatnonzero(w < 0)
-        if neg.size:
-            raise InputDataError(f"negative weight at record {neg[0] + 1}")
+        bad = w < 0
+        for _, arr in columns:
+            bad |= ~np.isfinite(arr)
+        if bad.any():
+            # the first bad record; within it, non-finite x, w, f, g, then the weight's sign
+            row = int(bad.argmax())
+            for name, arr in columns:
+                if not np.isfinite(arr[row]):
+                    raise InputDataError(f"non-finite value in column '{name}'", record=row + 1)
+            raise InputDataError(f"negative weight {w[row]}", record=row + 1)
         if w.sum() <= 0:
             raise InputDataError("total measure must be positive")
         for name, arr in (("x", x), ("w", w), ("f", f), ("g", g)):

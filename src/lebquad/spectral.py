@@ -46,19 +46,21 @@ class LebesgueQuadrature:
     amplitudes: np.ndarray
     eigensolution: EigenSolution
     grams: GramSet
-    which: str
 
     @property
     def n(self) -> int:
         return self.eigensolution.n
 
 
-def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
+def symmetrized(M, name: str) -> np.ndarray:
+    """0.5 (M + M^T) of a square M that is symmetric to within 1e-10 of its
+    largest entry; InputDataError otherwise. A non-finite result (NaN in M,
+    or an overflowing sum) is the caller's to report."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputDataError(f"{name} must be square, got shape {M.shape}")
     scale = np.abs(M).max() or 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # _reduced_eigh reports an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
         if np.abs(M - M.T).max() > 1e-10 * scale:
             raise InputDataError(f"{name} is not symmetric")
         return 0.5 * (M + M.T)
@@ -112,8 +114,8 @@ def solve_generalized(
     """
     if not 0 <= epsilon < 1:  # also rejects nan
         raise ConfigurationError(f"epsilon must be in [0, 1), got {epsilon}")
-    A = _check_symmetric(A, "A")
-    G = _check_symmetric(G, "G")
+    A = symmetrized(A, "A")
+    G = symmetrized(G, "G")
     if A.shape != G.shape:
         raise InputDataError(f"shape mismatch: A {A.shape} vs G {G.shape}")
     n = A.shape[0]
@@ -134,7 +136,7 @@ def solve_generalized(
     return EigenSolution(n=n, eigenvalues=lam, alpha=alpha, effective_rank=rank)
 
 
-def _quadrature_from_solution(grams: GramSet, which: str, sol: EigenSolution,
+def _quadrature_from_solution(grams: GramSet, sol: EigenSolution,
                               amplitudes: np.ndarray) -> LebesgueQuadrature:
     return LebesgueQuadrature(
         nodes=sol.eigenvalues,
@@ -142,7 +144,6 @@ def _quadrature_from_solution(grams: GramSet, which: str, sol: EigenSolution,
         amplitudes=amplitudes,
         eigensolution=sol,
         grams=grams,
-        which=which,
     )
 
 
@@ -155,7 +156,7 @@ def lebesgue_quadrature(
         A, grams.G, epsilon=epsilon,
         moment_vector=grams.m, total_measure=grams.total_measure,
     )
-    return _quadrature_from_solution(grams, which, sol, sol.alpha.T @ grams.m)
+    return _quadrature_from_solution(grams, sol, sol.alpha.T @ grams.m)
 
 
 def solve_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> EigenSolution:
@@ -186,4 +187,4 @@ def lebesgue_quadrature_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -
     """Quadrature of g computed through the f-eigenbasis shortcut; its
     amplitudes are S^T a_f, S being the solution's ``in_f_basis``."""
     sol = solve_in_f_basis(grams, quad_f)
-    return _quadrature_from_solution(grams, "g", sol, sol.in_f_basis.T @ quad_f.amplitudes)
+    return _quadrature_from_solution(grams, sol, sol.in_f_basis.T @ quad_f.amplitudes)

@@ -89,8 +89,11 @@ def test_read_csv_errors_carry_line_numbers(tmp_path):
     # every record has the header's width, the first one too
     ("x,w,f,g\n0,1,2\n1,1,3\n", "line 2: expected 4 fields, got 3"),
     ("x,w,f,g\n0,1,2\n1,1,abc\n", "line 2: expected 4 fields, got 3"),
+    # an empty field is not a number either
+    ("x,w,f\n0,,1\n", "line 2: non-numeric value '' in column 'w'"),
 ], ids=["underscore-digits", "arabic-indic-digit", "crlf", "cr", "form-feed-in-record",
-        "whitespace-line", "indented-comment", "short-rows", "short-rows-then-text"])
+        "whitespace-line", "indented-comment", "short-rows", "short-rows-then-text",
+        "empty-field"])
 def test_read_csv_rejects_record_at_its_line(tmp_path, text, error):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode())
@@ -111,6 +114,21 @@ def test_read_csv_bad_record_after_skipped_lines(tmp_path, record, error):
     assert str(exc.value) == f"line 7: {error}"
 
 
+@pytest.mark.parametrize("header, row, skipped, record, error", [
+    ("x,f", "0,1", "\n# c\n\n# c\n", "1,abc",
+     "line 60006: non-numeric value 'abc' in column 'f'"),
+    ("x,w,f", "0,1,1", "\n# c\n\n", "1,1,nan", "line 60005: non-finite value in column 'f'"),
+], ids=["non-numeric", "non-finite"])
+def test_read_csv_bad_record_past_loadtxt_chunk(tmp_path, header, row, skipped, record, error):
+    # the bad record sits after loadtxt's 50 000-line read chunk, behind
+    # blank and comment lines; the non-finite one is SampleSet's to find
+    path = tmp_path / "in.csv"
+    path.write_text(f"{header}\n" + f"{row}\n" * 60_000 + skipped + f"{record}\n{row}\n")
+    with pytest.raises(InputDataError) as exc:
+        read_samples_csv(str(path))
+    assert str(exc.value) == error
+
+
 def test_read_csv_trailing_comment(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("x,f\n0,1 # first\n1,2#second\n")
@@ -119,7 +137,6 @@ def test_read_csv_trailing_comment(tmp_path):
     np.testing.assert_array_equal(s.f, [1.0, 2.0])
 
 
-@pytest.mark.filterwarnings("error")
 def test_read_csv_header_only_without_warning(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("x,f\n# c\n\n")
@@ -171,7 +188,6 @@ def test_spectral_rho_file(tmp_path):
     ("2\n1 1\n1 0\n", "expected 4 content lines, got 3"),
     ("2\n", "expected 4 content lines, got 1"),
 ], ids=["ragged-row", "non-numeric", "too-few-rows", "order-only"])
-@pytest.mark.filterwarnings("error")
 def test_spectral_rho_file_rejected(tmp_path, text, error):
     path = tmp_path / "rho.txt"
     path.write_text(text)
@@ -226,6 +242,15 @@ def test_cli_negative_weight_exit_2(tmp_path, capsys):
     path.write_text("x,w,f\n0,1,1\n1,-2,3\n")
     assert main(["quadrature", "--input", str(path), "--n", "1"]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_cli_rho_vectors_overflow_exit_4_with_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rho.txt").write_text("2\n1 1\n1e200 0\n0 1\n")
+    assert main(["joint", "--scenario", "smooth", "--n", "2", "--kinds", "density",
+                 "--rho", "spectral:rho.txt"]) == 4
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["rho mismatch: spectral vectors are not orthonormal"], err
 
 
 def test_cli_joint_requires_g(tmp_path, capsys):
@@ -352,7 +377,6 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
         "operator-overflow", "epsilon-nan", "epsilon-inf", "epsilon-2", "epsilon-negative",
         "rho-order-negative", "rho-ragged-row", "rho-comment-then-text",
         "rho-nan", "rho-overflow", "joint-overflow"])
-@pytest.mark.filterwarnings("error")  # a numpy warning would be one more stderr line
 def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     monkeypatch.chdir(tmp_path)
     for name, data in files.items():

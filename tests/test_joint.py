@@ -192,6 +192,16 @@ def test_density_identity():
         density_identity(0)
 
 
+def test_density_matrix_must_be_symmetric():
+    with pytest.raises(InputDataError, match="not symmetric"):
+        DensityMatrix(R=np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(InputDataError, match="square"):
+        DensityMatrix(R=np.ones((2, 3)))
+    # within the tolerance, R is stored symmetrized
+    rho = DensityMatrix(R=np.array([[1.0, 1e-12], [0.0, 1.0]]))
+    np.testing.assert_array_equal(rho.R, rho.R.T)
+
+
 def test_density_from_spectral_completeness():
     rng = np.random.default_rng(17)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
@@ -281,16 +291,14 @@ def test_sign_flip_invariance(scenario_samples):
     qf = result.quad_f
     flipped_f = LebesgueQuadrature(
         nodes=qf.nodes, weights=qf.weights, amplitudes=qf.amplitudes * signs_f,
-        eigensolution=qf.eigensolution, grams=qf.grams, which="f")
+        eigensolution=qf.eigensolution, grams=qf.grams)
     qg = result.quad_g
     flipped_g = LebesgueQuadrature(
         nodes=qg.nodes, weights=qg.weights, amplitudes=qg.amplitudes * signs_g,
-        eigensolution=qg.eigensolution, grams=qg.grams, which="g")
+        eigensolution=qg.eigensolution, grams=qg.grams)
     S_flipped = type(S)(
         S=signs_f[:, None] * S.S * signs_g[None, :],
         f_nodes=S.f_nodes, g_nodes=S.g_nodes,
-        f_amplitudes=S.f_amplitudes * signs_f,
-        g_amplitudes=S.g_amplitudes * signs_g,
         total_measure=S.total_measure)
     V1 = value_correlation(qf, qg, S).W
     V2 = value_correlation(flipped_f, flipped_g, S_flipped).W

@@ -32,6 +32,15 @@ def test_sampleset_validation():
         SampleSet(x=np.array([np.nan, 1.0]), w=np.ones(2), f=np.zeros(2))
     with pytest.raises(InputDataError):
         SampleSet(x=np.array([0.0]), w=np.array([1.0]), f=np.array([1.0, 2.0]))
+    # the first bad record in record order; within one, non-finite x, w, f,
+    # g before the weight's sign
+    with pytest.raises(InputDataError) as exc:
+        SampleSet(x=np.array([0.0, 1.0, np.nan]), w=np.array([1.0, -1.0, 1.0]), f=np.zeros(3))
+    assert str(exc.value) == "negative weight -1.0 at record 2"
+    with pytest.raises(InputDataError) as exc:
+        SampleSet(x=np.zeros(2), w=np.array([1.0, -np.inf]), f=np.zeros(2),
+                  g=np.array([0.0, np.nan]))
+    assert str(exc.value) == "non-finite value in column 'w' at record 2"
 
 
 def test_all_zero_weights_rejected():

@@ -6,9 +6,9 @@ column <Q_{n-1} Q_k>. :func:`accumulate_grams`, the one Gram route, reads
 the samples once, in chunks, evaluating n basis rows and reducing them to
 each Gram's first row and last column (O(M n) time, O(chunk n) memory);
 the recurrence fills the rest from those alone (:func:`_mixed_moments`,
-O(n^2)). A chunk's block of basis rows is kept to about 1 MiB, so that it
-stays in L2 cache, but a chunk holds at least 4096 samples (see
-_CHUNK_ELEMENTS).
+O(n^2)). A chunk's working set, its block of basis rows plus the operand
+they are reduced against, is kept to about 1 MiB, so that it stays in L2
+cache, but a chunk holds at least 4096 samples (see _CHUNK_ELEMENTS).
 """
 from __future__ import annotations
 
@@ -21,17 +21,19 @@ import numpy as np
 from .basis import BasisSpec, evaluate_all, recurrence_coefficients
 from .errors import ConditioningError, ConfigurationError, InputDataError
 
-# A chunk's block of n basis rows holds about _CHUNK_ELEMENTS doubles
-# (1 MiB), so that it stays in a core's L2 cache (2 MiB on the Xeon it was
-# tuned on) while the reduction matmul reads it; at n = 32, 4 MiB blocks made
-# that matmul about 1.6x slower. But a chunk never holds fewer than
-# _CHUNK_SAMPLES samples: each of the n rows of the recurrence is a few numpy
-# calls, whose fixed cost shorter rows would not amortize (at n = 1000 the
-# 131-sample chunks of a 1 MiB block made the moment pass 3-4x slower).
-# At the floor, from n >= _CHUNK_SAMPLES on, the block is at most one n x n
-# array. Each block is reduced to each Gram's first row and last column and
-# released before the next one is evaluated; the recurrence fills the rest.
-# This bounds the memory of moment accumulation independently of M.
+# A chunk's working set, its block of n basis rows plus the (2 measures,
+# chunk) operand they are reduced against, holds about _CHUNK_ELEMENTS
+# doubles (1 MiB), so that it stays in a core's L2 cache (2 MiB on the Xeon
+# it was tuned on) while the reduction matmul reads it; at n = 32, 4 MiB
+# blocks made that matmul about 1.6x slower. But a chunk never holds fewer
+# than _CHUNK_SAMPLES samples: each of the n rows of the recurrence is a few
+# numpy calls, whose fixed cost shorter rows would not amortize (at n = 1000
+# the 131-sample chunks of a 1 MiB block made the moment pass 3-4x slower).
+# The floor decides from n + 2 measures >= 32 on (n >= 26 with g), and from
+# n >= _CHUNK_SAMPLES on the block is at most one n x n array. Each block is
+# reduced to each Gram's first row and last column and released before the
+# next one is evaluated; the recurrence fills the rest. This bounds the
+# memory of moment accumulation independently of M.
 _CHUNK_ELEMENTS = 1 << 17
 _CHUNK_SAMPLES = 4096
 
@@ -161,7 +163,8 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
     InputDataError.
 
     The samples are streamed in chunks of max(_CHUNK_SAMPLES,
-    _CHUNK_ELEMENTS // n) samples: each chunk's block of basis rows
+    _CHUNK_ELEMENTS // (n + 2 measures)) samples, measures being 3 with a
+    g column and 2 without: each chunk's block of basis rows
     Q_0 .. Q_{n-1} is reduced with one small matmul against the columns
     [w, w f, w g] and the same columns times Q_{n-1}, written in place into
     one operand allocated once. That gives each Gram's first row and last
@@ -184,8 +187,8 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
             f"physical memory"
         )
     rows = replace(basis, size=n)
-    chunk = min(max(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // n), samples.size)
     measures = 3 if samples.has_g else 2
+    chunk = min(max(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // (n + 2 * measures)), samples.size)
     columns = [samples.f] + ([samples.g] if samples.has_g else [])
     operand = np.empty((2 * measures, chunk))  # rows: w, w f, w g, then each times Q_{n-1}
     acc = np.zeros((n, 2 * measures))  # columns: first rows, then last columns

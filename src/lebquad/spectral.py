@@ -52,10 +52,16 @@ class LebesgueQuadrature:
         return self.eigensolution.n
 
 
+def _halved_sum(M: np.ndarray) -> np.ndarray:
+    # 0.5 M + 0.5 M^T: the same bits as 0.5 (M + M^T) above the subnormal
+    # range, as halving is exact there, but finite wherever M is
+    return 0.5 * M + 0.5 * M.T
+
+
 def symmetrized(M, name: str) -> np.ndarray:
-    """0.5 (M + M^T) of a square M that is symmetric to within 1e-10 of its
-    largest entry; InputDataError otherwise. A non-finite result (NaN in M,
-    or an overflowing sum) is the caller's to report."""
+    """(M + M^T) / 2 of a square M that is symmetric to within 1e-10 of its
+    largest entry; InputDataError otherwise. It is finite wherever M is; NaN
+    in M is the caller's to report."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputDataError(f"{name} must be square, got shape {M.shape}")
@@ -63,14 +69,18 @@ def symmetrized(M, name: str) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         if np.abs(M - M.T).max() > 1e-10 * scale:
             raise InputDataError(f"{name} is not symmetric")
-        return 0.5 * (M + M.T)
+        return _halved_sum(M)
 
 
 def _reduced_eigh(Y: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the symmetric operator Y^T A Y, which must be finite."""
+    """Eigenpairs of the symmetric operator Y^T A Y, which must be finite.
+
+    A finite A can still overflow here: Y = U s^-1/2 has entries up to
+    s_min^-1/2, s_min being G's smallest kept eigenvalue, and Y^T A is
+    formed first.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        M = Y.T @ A @ Y
-        M = 0.5 * (M + M.T)
+        M = _halved_sum(Y.T @ A @ Y)
     if not np.isfinite(M).all():
         raise InputDataError("operator overflows in the Gram eigenbasis: sample values too large")
     return np.linalg.eigh(M)

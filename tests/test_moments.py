@@ -221,12 +221,14 @@ def test_gram_route_evaluates_n_basis_rows(monkeypatch, scenario_samples):
     samples = scenario_samples["smooth"]
     n = 128
     accumulate_grams(samples, BasisSpec(Family.LEGENDRE, n, DomainMap.from_samples(samples.x)), n)
-    chunk = max(moments._CHUNK_SAMPLES, moments._CHUNK_ELEMENTS // n)
+    measures = 3 if samples.has_g else 2
+    chunk = max(moments._CHUNK_SAMPLES, moments._CHUNK_ELEMENTS // (n + 2 * measures))
     assert sizes == [n] * -(-samples.size // chunk)
 
 
 @pytest.mark.parametrize("n", [8, 32, 64, 1000])
 def test_moment_blocks_fit_the_budget_or_sit_at_the_floor(monkeypatch, n):
+    # the budget covers a chunk's n basis rows and its (2 measures, chunk) operand
     lengths = []
     evaluate = moments.evaluate_all
 
@@ -239,13 +241,16 @@ def test_moment_blocks_fit_the_budget_or_sit_at_the_floor(monkeypatch, n):
     M = 40_000
     x = np.linspace(-1.0, 1.0, M)
     basis = BasisSpec(Family.CHEBYSHEV, n, DomainMap(-1, 1))
-    accumulate_grams(SampleSet(x=x, w=np.ones(M), f=x), basis, n)
-    assert sum(lengths) == M and len(lengths) > 1
-    *full, last = lengths
-    assert len(set(full)) == 1 and 0 < last <= full[0]
-    for size in full:
-        assert n * size <= moments._CHUNK_ELEMENTS or size == moments._CHUNK_SAMPLES
-        assert size >= moments._CHUNK_SAMPLES
+    for g, measures in ((None, 2), (x * x, 3)):
+        lengths.clear()
+        accumulate_grams(SampleSet(x=x, w=np.ones(M), f=x, g=g), basis, n)
+        assert sum(lengths) == M and len(lengths) > 1
+        *full, last = lengths
+        assert len(set(full)) == 1 and 0 < last <= full[0]
+        for size in full:
+            assert ((n + 2 * measures) * size <= moments._CHUNK_ELEMENTS
+                    or size == moments._CHUNK_SAMPLES)
+            assert size >= moments._CHUNK_SAMPLES
 
 
 def test_moment_pass_memory_is_one_cache_sized_block():

@@ -17,8 +17,8 @@ result = analyze(samples, n=5)
 V = result.correlation("value")
 P = result.correlation("probability")
 
-print("f levels:", np.round(V.row_nodes, 3))
-print("g levels:", np.round(V.col_nodes, 3))
+print("f levels:", np.round(result.quad_f.nodes, 3))
+print("g levels:", np.round(result.quad_g.nodes, 3))
 
 print("\nvalue-correlation (measure of f~f_i and g~g_j):")
 print(np.round(V.W, 1))

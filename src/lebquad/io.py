@@ -240,13 +240,13 @@ def quadrature_payload(quad) -> dict:
     }
 
 
-def joint_payload(matrix) -> dict:
+def joint_payload(matrix, result) -> dict:
     return {
         "kind": matrix.kind,
         "normalization": matrix.normalization,
         "matrix": matrix.W,
-        "row_nodes": matrix.row_nodes,
-        "col_nodes": matrix.col_nodes,
+        "row_nodes": result.quad_f.nodes,
+        "col_nodes": result.quad_g.nodes,
     }
 
 
@@ -272,7 +272,7 @@ def result_document(result, epsilon: float, joint_matrices=()) -> dict:
     if result.quad_g is not None:
         doc["quadrature_g"] = quadrature_payload(result.quad_g)
     if joint_matrices:
-        doc["joint"] = [joint_payload(m) for m in joint_matrices]
+        doc["joint"] = [joint_payload(m, result) for m in joint_matrices]
     return doc
 
 
@@ -293,10 +293,11 @@ def dumps_csv(result, joint_matrices=()) -> str:
                 f"{_fmt(quad.weights[i])},{_fmt(quad.amplitudes[i])}\n"
             )
     for mat in joint_matrices:
+        row_nodes, col_nodes = result.quad_f.nodes, result.quad_g.nodes
         for i in range(mat.W.shape[0]):
             for j in range(mat.W.shape[1]):
                 out.write(
-                    f"joint,{mat.kind},{i},{j},{_fmt(mat.row_nodes[i])},"
-                    f"{_fmt(mat.col_nodes[j])},{_fmt(mat.W[i, j])}\n"
+                    f"joint,{mat.kind},{i},{j},{_fmt(row_nodes[i])},"
+                    f"{_fmt(col_nodes[j])},{_fmt(mat.W[i, j])}\n"
                 )
     return out.getvalue()

@@ -1,9 +1,10 @@
 """Joint distribution estimators built from two Lebesgue quadratures.
 
 The projection matrix S between the f- and g-eigenbases carries all the
-joint information; value-, probability-, density-matrix and squared
-correlations are different contractions of S (and a density operator)
-with the quadrature amplitudes.
+joint information. The density-matrix correlation S_ij (R S)_ij is the one
+estimator: the value correlation is its case rho = |1><1|, the probability
+correlation its case rho = I, and the squared correlation ((R S)_ij)^2 is
+formed from the same R S.
 """
 from __future__ import annotations
 
@@ -29,14 +30,10 @@ class ProjectionMatrix:
     """Overlaps S_ij between the f- and g-eigenfunctions.
 
     Both eigenbases are orthonormal bases of the same span, so S is an
-    orthogonal matrix. The node vectors of both quadratures and the total
-    measure are carried along for the estimators built on it.
+    orthogonal matrix.
     """
 
     S: np.ndarray
-    f_nodes: np.ndarray
-    g_nodes: np.ndarray
-    total_measure: float
 
     @property
     def n(self) -> int:
@@ -69,14 +66,13 @@ class DensityMatrix:
 class JointDistributionMatrix:
     """An n x n joint weight matrix with its expected normalization.
 
-    W, its normalization and its total must be finite.
+    W, its normalization and its total must be finite. Rows follow the f
+    quadrature's nodes and columns the g quadrature's.
     """
 
     kind: str
     W: np.ndarray
     normalization: float
-    row_nodes: np.ndarray
-    col_nodes: np.ndarray
 
     def __post_init__(self):
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -109,36 +105,7 @@ def projection(quad_f: LebesgueQuadrature, quad_g: LebesgueQuadrature) -> Projec
     quad_g must have been solved in quad_f's own eigenbasis."""
     if quad_g.eigensolution.f_solution is not quad_f.eigensolution:
         raise InputDataError("the g quadrature was not solved in this f-eigenbasis")
-    return ProjectionMatrix(
-        S=quad_g.eigensolution.in_f_basis,
-        f_nodes=quad_f.nodes,
-        g_nodes=quad_g.nodes,
-        total_measure=quad_f.grams.total_measure,
-    )
-
-
-def value_correlation(
-    quad_f: LebesgueQuadrature, quad_g: LebesgueQuadrature, S: ProjectionMatrix
-) -> JointDistributionMatrix:
-    """Signed measure of (f ~ f_i) and (g ~ g_j) sets; exact marginals.
-
-    V is the density-matrix correlation at rho = |1><1|, normalized to the
-    total measure."""
-    if S.n != quad_f.n or S.n != quad_g.n:
-        raise InputDataError("projection and quadratures have mismatched orders")
-    return JointDistributionMatrix(
-        kind=VALUE, W=_density_weights(S, density_from_pure_unit(quad_f)),
-        normalization=S.total_measure,
-        row_nodes=S.f_nodes, col_nodes=S.g_nodes,
-    )
-
-
-def probability_correlation(S: ProjectionMatrix) -> JointDistributionMatrix:
-    """Doubly stochastic matrix S_ij^2, normalized to the order n."""
-    return JointDistributionMatrix(
-        kind=PROBABILITY, W=S.S**2, normalization=float(S.n),
-        row_nodes=S.f_nodes, col_nodes=S.g_nodes,
-    )
+    return ProjectionMatrix(S=quad_g.eigensolution.in_f_basis)
 
 
 def density_from_pure_unit(quad_f: LebesgueQuadrature) -> DensityMatrix:
@@ -168,47 +135,59 @@ def density_from_spectral(eigenvalues, vectors) -> DensityMatrix:
         return DensityMatrix(R=(psi * lam) @ psi.T)
 
 
-def _check_dims(S: ProjectionMatrix, rho: DensityMatrix) -> None:
-    if rho.n != S.n:
+def _correlation(kind: str, S: ProjectionMatrix, rho: DensityMatrix | None,
+                 normalization: float | None = None) -> JointDistributionMatrix:
+    """The one joint estimator: W = S_ij (R S)_ij, or ((R S)_ij)^2 for the
+    squared kind, R being rho's operator.
+
+    rho None stands for the identity, with R S taken as S itself, so no
+    product is formed. The normalization defaults to spur rho, and for the
+    squared kind to W's own total.
+    """
+    if rho is not None and rho.n != S.n:
         raise InputDataError(f"dimension mismatch: rho is {rho.n}, projection is {S.n}")
-
-
-def _density_weights(S: ProjectionMatrix, rho: DensityMatrix) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # reported by JointDistributionMatrix
-        return S.S * (rho.R @ S.S)
+        RS = S.S if rho is None else rho.R @ S.S
+        W = RS * RS if kind == PURE_SQUARED else S.S * RS
+        if normalization is None:
+            normalization = float(W.sum()) if kind == PURE_SQUARED else rho.spur
+    return JointDistributionMatrix(kind=kind, W=W, normalization=normalization)
+
+
+def value_correlation(
+    quad_f: LebesgueQuadrature, quad_g: LebesgueQuadrature, S: ProjectionMatrix
+) -> JointDistributionMatrix:
+    """Signed measure of (f ~ f_i) and (g ~ g_j) sets; exact marginals.
+
+    V is the density-matrix correlation at rho = |1><1|, normalized to the
+    total measure; of quad_g, only its eigenvectors enter, as S's columns."""
+    return _correlation(VALUE, S, density_from_pure_unit(quad_f), quad_f.grams.total_measure)
+
+
+def probability_correlation(S: ProjectionMatrix) -> JointDistributionMatrix:
+    """Doubly stochastic matrix S_ij^2: the density-matrix correlation at
+    rho = I, normalized to the order n."""
+    return _correlation(PROBABILITY, S, None, float(S.n))
 
 
 def density_matrix_correlation(S: ProjectionMatrix, rho: DensityMatrix) -> JointDistributionMatrix:
     """General correlation S_ij * (R S)_ij, normalized to the spur of rho."""
-    _check_dims(S, rho)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by JointDistributionMatrix
-        spur = rho.spur
-    return JointDistributionMatrix(
-        kind=DENSITY, W=_density_weights(S, rho), normalization=spur,
-        row_nodes=S.f_nodes, col_nodes=S.g_nodes,
-    )
+    return _correlation(DENSITY, S, rho)
 
 
 def pure_squared_correlation(S: ProjectionMatrix, rho: DensityMatrix) -> JointDistributionMatrix:
-    """Squared correlation ((R S)_ij)^2; factorizes for rank-1 rho."""
-    _check_dims(S, rho)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by JointDistributionMatrix
-        W = (rho.R @ S.S) ** 2
-        total = float(W.sum())
-    return JointDistributionMatrix(
-        kind=PURE_SQUARED, W=W, normalization=total,
-        row_nodes=S.f_nodes, col_nodes=S.g_nodes,
-    )
+    """Squared correlation ((R S)_ij)^2, normalized to its own total;
+    factorizes for rank-1 rho."""
+    return _correlation(PURE_SQUARED, S, rho)
 
 
 def pureness_estimate(S: ProjectionMatrix, rho: DensityMatrix) -> float:
     """Frobenius distance between the unit-normalized squared correlation and
     the product of its marginals; zero exactly when rho is a pure state."""
-    W = pure_squared_correlation(S, rho).W
-    total = W.sum()
-    if total <= 0:
+    squared = pure_squared_correlation(S, rho)
+    if squared.normalization <= 0:
         raise InputDataError("squared correlation has zero total weight")
-    Wn = W / total
+    Wn = squared.W / squared.normalization
     row = Wn.sum(axis=1)
     col = Wn.sum(axis=0)
     return float(np.linalg.norm(Wn - np.outer(row, col)))

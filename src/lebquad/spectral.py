@@ -75,15 +75,25 @@ def symmetrized(M, name: str) -> np.ndarray:
 def _reduced_eigh(Y: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the symmetric operator Y^T A Y, which must be finite.
 
-    A finite A can still overflow here: Y = U s^-1/2 has entries up to
-    s_min^-1/2, s_min being G's smallest kept eigenvalue, and Y^T A is
-    formed first.
+    Y = U s^-1/2 has entries up to s_min^-1/2, s_min being G's smallest kept
+    eigenvalue, so Y^T A can overflow for a finite A. A is scaled by 2^-e
+    first, 2^e being within a factor 4 of max|A| max|Y|, so that the entries
+    of Y^T A stay below 2n and those of Y^T A Y below 2n^2 max|Y|; the
+    eigenvalues are scaled back by 2^e. Powers of two scale exactly, and e
+    is even so that the square roots in eigh do too. Eigenvalues that round
+    past the float maximum still overflow.
     """
+    e = np.frexp(np.abs(A).max())[1] + np.frexp(np.abs(Y).max())[1]
+    e -= e % 2
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _halved_sum(Y.T @ A @ Y)
-    if not np.isfinite(M).all():
-        raise InputDataError("operator overflows in the Gram eigenbasis: sample values too large")
-    return np.linalg.eigh(M)
+        M = _halved_sum(Y.T @ np.ldexp(A, -e) @ Y)
+    if np.isfinite(M).all():
+        lam, B = np.linalg.eigh(M)
+        with np.errstate(over="ignore"):  # eigenvalues rounded past the float maximum
+            lam = np.ldexp(lam, e)
+        if np.isfinite(lam).all():
+            return lam, B
+    raise InputDataError("operator overflows in the Gram eigenbasis: sample values too large")
 
 
 def _signs(alpha: np.ndarray, m: np.ndarray | None, total: float | None) -> np.ndarray:

@@ -401,13 +401,16 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
       for rho in (b"2\nnan 1\n1 0\n0 1\n", b"2\n1e308 1e308\n1 0\n0 1\n")),
     ({"in.csv": b"x,w,f,g\n-1,1e200,1,0\n0,1e200,2,1\n1,1e200,3,0\n"},
      ["joint", "--input", "in.csv", "--n", "2", "--kinds", "pure_squared"], None),
+    ({"in.csv": b"x,w,f\n" + b"".join(b"%r,0.001,%r\n" % (x, np.finfo(float).max)
+                                      for x in np.linspace(-1.0, 1.0, 10).tolist())},
+     ["quadrature", "--input", "in.csv", "--n", "3"], None),
 ], ids=["gram-overflow", "csv-not-utf8", "csv-header-not-utf8", "csv-not-utf8-line-50000",
         "rho-not-utf8", "scenario-M-not-int",
         "scenario-seed-not-int", "scenario-not-utf8", "scenario-huge-M",
         "scenario-law-overflow", "output-dir-missing", "input-path-nul",
         "epsilon-nan", "epsilon-inf", "epsilon-2", "epsilon-negative",
         "rho-order-negative", "rho-ragged-row", "rho-comment-then-text",
-        "rho-nan", "rho-overflow", "joint-overflow"])
+        "rho-nan", "rho-overflow", "joint-overflow", "nodes-past-float-max"])
 def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     monkeypatch.chdir(tmp_path)
     for name, data in files.items():
@@ -433,6 +436,18 @@ def test_cli_finite_grams_near_float_max_solve(tmp_path, csv, args, nodes):
     assert main([*args, "--input", str(path), "--output", str(out)]) == 0
     np.testing.assert_allclose(json.loads(out.read_text())["quadrature_f"]["nodes"], nodes,
                                rtol=1e-12)
+
+
+def test_cli_operator_near_float_max_scales_exactly(tmp_path):
+    # unscaled, Y^T A overflows on this file although its nodes are finite;
+    # the nodes are 2^1019 times those of the same file with f = 1
+    path, out = tmp_path / "in.csv", tmp_path / "out.json"
+    nodes = []
+    for f in (1.0, 2.0**1019):
+        path.write_text("x,w,f\n-1,100,0\n-0.999,0.01,%r\n1,1,0\n" % f)
+        assert main(["quadrature", "--n", "3", "--input", str(path), "--output", str(out)]) == 0
+        nodes.append(np.array(json.loads(out.read_text())["quadrature_f"]["nodes"]))
+    np.testing.assert_allclose(nodes[1], 2.0**1019 * nodes[0], rtol=0, atol=1e-15 * 2.0**1019)
 
 
 def test_cli_unknown_kind_rejected(two_atom_csv):

@@ -296,10 +296,7 @@ def test_sign_flip_invariance(scenario_samples):
     flipped_g = LebesgueQuadrature(
         nodes=qg.nodes, weights=qg.weights, amplitudes=qg.amplitudes * signs_g,
         eigensolution=qg.eigensolution, grams=qg.grams)
-    S_flipped = type(S)(
-        S=signs_f[:, None] * S.S * signs_g[None, :],
-        f_nodes=S.f_nodes, g_nodes=S.g_nodes,
-        total_measure=S.total_measure)
+    S_flipped = type(S)(S=signs_f[:, None] * S.S * signs_g[None, :])
     V1 = value_correlation(qf, qg, S).W
     V2 = value_correlation(flipped_f, flipped_g, S_flipped).W
     np.testing.assert_allclose(V1, V2, atol=1e-12 * np.abs(V1).max())

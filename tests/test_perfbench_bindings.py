@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lebquad import SampleSet, cli, io, moments, pipeline
+from lebquad import SampleSet, cli, io, joint, moments, pipeline
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -54,3 +54,27 @@ def test_cli_reads_csv_through_traced_io_attribute(monkeypatch, tmp_path):
     assert cli.main(["joint", "--input", str(csv), "--n", "2",
                      "--output", str(tmp_path / "out.json")]) == 0
     assert calls == [str(csv)]
+
+
+def test_cli_joint_reaches_each_traced_estimator_once(monkeypatch, tmp_path):
+    names = ("value_correlation", "probability_correlation",
+             "density_matrix_correlation", "pure_squared_correlation")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        fn = getattr(joint, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(joint, name, wrapper)
+
+    for name in names:
+        counted(name)
+    csv = tmp_path / "in.csv"
+    csv.write_text("x,f,g\n-1,1,0\n0,2,1\n1,3,0\n")
+    assert cli.main(["joint", "--input", str(csv), "--n", "2",
+                     "--kinds", "value,probability,density,pure_squared",
+                     "--output", str(tmp_path / "out.json")]) == 0
+    assert calls == dict.fromkeys(names, 1)

@@ -201,3 +201,13 @@ def test_hard_cap_at_effective_rank():
     with pytest.raises(ConditioningError) as err:
         analyze(samples, n=4, family="monomial")
     assert err.value.effective_rank == 3
+
+
+def test_subnormal_measure_solves():
+    # a Gram in the subnormal range makes Y = U s^-1/2 huge; the operator's
+    # scaling must keep Y^T A Y finite there as well
+    x = np.linspace(-1.0, 1.0, 50)
+    f = np.cos(3 * x)
+    unit = analyze(SampleSet(x=x, w=np.ones(50), f=f), n=4).quad_f.nodes
+    tiny = analyze(SampleSet(x=x, w=np.full(50, 2.0**-1040), f=f), n=4).quad_f.nodes
+    np.testing.assert_allclose(tiny, unit, rtol=1e-6)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from . import io as lio
 from . import joint as joint_ops
@@ -25,7 +26,7 @@ def _add_common(parser):
     parser.add_argument("--basis", default="chebyshev",
                         choices=["chebyshev", "legendre", "monomial"])
     parser.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                        help="Gram regularization threshold, relative to lambda_max")
+                        help="Gram rank threshold, relative to lambda_max")
     parser.add_argument("--format", default="json", choices=["json", "csv"])
     parser.add_argument("--output", help="output file (default: stdout)")
     parser.add_argument("--seed", type=int, help="override the scenario seed")
@@ -63,27 +64,24 @@ def _load_samples(args):
     return generate(spec)
 
 
-def _emit(args, text):
-    if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputDataError(f"cannot write {args.output}: {exc}") from None
-    else:
-        sys.stdout.write(text)
-
-
-def _render(args, result, joint_matrices=()):
-    if args.format == "json":
-        return lio.dumps_json(lio.result_document(result, args.epsilon, joint_matrices))
-    return lio.dumps_csv(result, joint_matrices)
+def _write(args, result, joint_matrices=()):
+    """Writes the results to --output, opened only now, or to standard output."""
+    try:
+        with (open(args.output, "w", encoding="utf-8") if args.output
+              else nullcontext(sys.stdout)) as out:
+            if args.format == "json":
+                lio.write_json(out, lio.result_document(result, args.epsilon, joint_matrices))
+            else:
+                lio.write_csv(out, result, joint_matrices)
+            out.flush()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise InputDataError(f"cannot write {args.output or 'standard output'}: {exc}") from None
 
 
 def cmd_quadrature(args) -> int:
     samples = _load_samples(args)
     result = analyze(samples, n=args.n, family=args.basis, epsilon=args.epsilon)
-    _emit(args, _render(args, result))
+    _write(args, result)
     return 0
 
 
@@ -118,7 +116,7 @@ def cmd_joint(args) -> int:
     S = result.projection()
     rho = _resolve_rho(args, result)
     matrices = [result.correlation(kind, rho=rho, S=S) for kind in kinds]
-    _emit(args, _render(args, result, matrices))
+    _write(args, result, matrices)
     return 0
 
 

@@ -28,7 +28,7 @@ class ConfigurationError(LebquadError):
 
 
 class ConditioningError(LebquadError):
-    """Gram matrix is rank-deficient beyond the regularization budget."""
+    """Gram matrix is rank-deficient for the requested order."""
 
     def __init__(self, message, effective_rank=None):
         if effective_rank is not None:

@@ -1,7 +1,7 @@
 """File formats: CSV sample input, JSON/CSV result output, spectral rho files.
 
-All floating-point output is printed with 17 significant digits so that
-emitted files round-trip bit-exactly.
+All floating-point output is printed with 17 significant digits, so that
+emitted files round-trip bit-exactly, and written as it is formatted.
 """
 from __future__ import annotations
 
@@ -16,9 +16,6 @@ from .errors import InputDataError
 from .moments import SampleSet
 
 FLOAT_FMT = "%.17g"
-
-def _fmt(value: float) -> str:
-    return FLOAT_FMT % float(value)
 
 
 def _open(path: str, mode: str, **kwargs):
@@ -211,26 +208,6 @@ def _rho_columns(lineno: int | None, first: str) -> range:
     return range(1, n + 1)
 
 
-def _jsonify(obj) -> str:
-    """Minimal JSON writer with fixed 17-significant-digit floats."""
-    if isinstance(obj, dict):
-        items = ", ".join(f"{_jsonify(str(k))}: {_jsonify(v)}" for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_jsonify(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    return _fmt(obj)
-
-
 def quadrature_payload(quad) -> dict:
     return {
         "nodes": quad.nodes,
@@ -276,28 +253,52 @@ def result_document(result, epsilon: float, joint_matrices=()) -> dict:
     return doc
 
 
+def _json_pieces(obj) -> Iterator[str]:
+    """JSON text of ``obj`` (dicts, lists, arrays, strings and numbers) in
+    pieces of at most one array row. Every number is printed with FLOAT_FMT,
+    a 1-d array's with one %-format over its tolist()."""
+    if isinstance(obj, dict):
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield (", " if i else "") + "".join(_json_pieces(str(key))) + ": "
+            yield from _json_pieces(value)
+        yield "}"
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1:
+        yield ("[" + ", ".join([FLOAT_FMT] * obj.size) + "]") % tuple(obj.tolist())
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        yield "["
+        for i, item in enumerate(obj):
+            yield ", " if i else ""
+            yield from _json_pieces(item)
+        yield "]"
+    elif isinstance(obj, str):
+        yield '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    else:
+        yield FLOAT_FMT % obj
+
+
+def write_json(out, doc: dict) -> None:
+    """Writes ``doc`` to the text handle ``out`` as JSON, one array row at a time."""
+    out.writelines(_json_pieces(doc))
+    out.write("\n")
+
+
 def dumps_json(doc: dict) -> str:
-    return _jsonify(doc) + "\n"
+    return "".join(_json_pieces(doc)) + "\n"
 
 
-def dumps_csv(result, joint_matrices=()) -> str:
-    """Long-form CSV: quadrature rows then joint matrix entries."""
-    out = _io.StringIO()
+def write_csv(out, result, joint_matrices=()) -> None:
+    """Writes long-form CSV to the text handle ``out``, each matrix row with one
+    %-format into a template of its kind, row and column nodes, formatted once."""
     out.write("section,kind,i,j,a,b,value\n")
+    line = f"quadrature,%s,%d,,{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}\n"
     for name, quad in (("f", result.quad_f), ("g", result.quad_g)):
-        if quad is None:
-            continue
-        for i in range(quad.n):
-            out.write(
-                f"quadrature,{name},{i},,{_fmt(quad.nodes[i])},"
-                f"{_fmt(quad.weights[i])},{_fmt(quad.amplitudes[i])}\n"
-            )
+        if quad is not None:
+            columns = zip(quad.nodes.tolist(), quad.weights.tolist(), quad.amplitudes.tolist())
+            for i, values in enumerate(columns):
+                out.write(line % (name, i, *values))
     for mat in joint_matrices:
-        row_nodes, col_nodes = result.quad_f.nodes, result.quad_g.nodes
-        for i in range(mat.W.shape[0]):
-            for j in range(mat.W.shape[1]):
-                out.write(
-                    f"joint,{mat.kind},{i},{j},{_fmt(row_nodes[i])},"
-                    f"{_fmt(col_nodes[j])},{_fmt(mat.W[i, j])}\n"
-                )
-    return out.getvalue()
+        row = "".join(f"joint,{mat.kind},{{i}},{j},{{a}},{FLOAT_FMT % b},{FLOAT_FMT}\n"
+                      for j, b in enumerate(result.quad_g.nodes.tolist()))
+        for i, (a, values) in enumerate(zip(result.quad_f.nodes.tolist(), mat.W)):
+            out.write(row.format(i=i, a=FLOAT_FMT % a) % tuple(values.tolist()))

@@ -37,11 +37,11 @@ from .errors import ConditioningError, ConfigurationError, InputDataError
 _CHUNK_ELEMENTS = 1 << 17
 _CHUNK_SAMPLES = 4096
 
-# n x n float64 arrays alive at once at an order-n run's peak: the three
-# Grams, their assembly, the eigensolvers' copies and work arrays and the
-# joint estimates. The moment pass's block of basis rows is at most one more
-# from n = _CHUNK_SAMPLES on, and at most 128 MiB below that. The peak RSS of analyze plus all four correlations
-# measured 12.4-12.8 of them at n = 1000 and 1500; 16 leaves a margin.
+# n x n float64 arrays alive at once at an order-n run's peak: the three Grams,
+# their assembly, the eigensolvers' arrays, the joint estimates and the writer's
+# rows, plus one block of basis rows from n = _CHUNK_SAMPLES on (128 MiB below).
+# `lebquad joint`, all four kinds, JSON or CSV (smooth laws, M = 4e4), peaked at
+# 12.9-13.0 of them above its RSS before analyze at n = 1000 and 12.5-12.6 at 1500.
 _SQUARE_ARRAYS = 16
 
 
@@ -160,7 +160,7 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
     anything n-sized is allocated: such a Gram matrix cannot have full rank.
     So are orders above :func:`max_order`, whose arrays would not fit in
     physical memory. Finite samples whose sums overflow to inf or NaN raise
-    InputDataError.
+    InputDataError, as does an f or g operator that underflows to zero.
 
     The samples are streamed in chunks of max(_CHUNK_SAMPLES,
     _CHUNK_ELEMENTS // (n + 2 measures)) samples, measures being 3 with a
@@ -206,11 +206,15 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
             del Q  # the next chunk's block is allocated only after this one is freed
         G, A_f, *A_g = _mixed_moments(basis, acc[:, :measures].T, acc[:, measures:].T)
     A_g = A_g[0] if A_g else None
-    for name, M in (("G", G), ("A_f", A_f), ("A_g", A_g)):
+    for name, M, values in (("G", G, None), ("A_f", A_f, samples.f), ("A_g", A_g, samples.g)):
         if M is not None and not np.isfinite(M).all():
             raise InputDataError(
                 f"Gram matrix {name} overflows: sample values too large for order {n}"
             )
+        # all zero by underflow, not cancellation: some w f of nonzero w and f is 0
+        if values is not None and not M.any() and np.any(
+                (samples.w * values == 0) & (samples.w != 0) & (values != 0)):
+            raise InputDataError(f"Gram matrix {name} underflows to zero: sample values too small")
     return GramSet(G=G, A_f=A_f, basis=basis, A_g=A_g)
 
 

@@ -1,8 +1,8 @@
 """Generalized symmetric eigenproblem solver and Lebesgue quadrature assembly.
 
 The pencil (A, G) is reduced to an ordinary symmetric problem by whitening
-G through its eigendecomposition, which doubles as the regularization step
-for nearly rank-deficient measures.
+G through its eigendecomposition, which doubles as the rank check: epsilon
+is a rank threshold, not a regularization that drops directions.
 """
 from __future__ import annotations
 
@@ -22,15 +22,17 @@ _AMPLITUDE_TOL = 1e-12
 class EigenSolution:
     """Eigenpairs of A alpha = lambda G alpha with G-orthonormal columns."""
 
-    n: int
     eigenvalues: np.ndarray  # ascending
     alpha: np.ndarray  # column i is the coefficient vector over Q_k
-    effective_rank: int
     # for a solution from solve_in_f_basis: the f solution it was solved in,
     # and column i over its eigenfunctions, the projection S between the two
     # eigenbases
     f_solution: EigenSolution | None = None
     in_f_basis: np.ndarray | None = None
+
+    @property
+    def n(self) -> int:
+        return self.alpha.shape[1]
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ def symmetrized(M, name: str) -> np.ndarray:
 def _reduced_eigh(Y: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the symmetric operator Y^T A Y, which must be finite.
 
-    Y = U s^-1/2 has entries up to s_min^-1/2, s_min being G's smallest kept
+    Y = U s^-1/2 has entries up to s_min^-1/2, s_min being G's smallest
     eigenvalue, so Y^T A can overflow for a finite A. A is scaled by 2^-e
     first, 2^e being within a factor 4 of max|A| max|Y|, so that the entries
     of Y^T A stay below 2n and those of Y^T A Y below 2n^2 max|Y|; the
@@ -127,10 +129,10 @@ def solve_generalized(
 ) -> EigenSolution:
     """Solve A alpha = lambda G alpha for a symmetric pencil with PSD G.
 
-    G is eigendecomposed and directions below epsilon * lambda_max(G) are
-    dropped; if fewer than n directions survive the pencil is declared
-    rank-deficient. ``moment_vector`` (the <Q_k> vector) fixes eigenvector
-    signs so amplitudes come out non-negative. ``epsilon`` must lie in [0, 1).
+    G is eigendecomposed; an eigenvalue at or below epsilon * lambda_max(G)
+    makes the pencil rank-deficient (ConditioningError), and no direction is
+    dropped. ``moment_vector`` (the <Q_k> vector) fixes eigenvector signs
+    so amplitudes come out non-negative. ``epsilon`` must lie in [0, 1).
     """
     if not 0 <= epsilon < 1:  # also rejects nan
         raise ConfigurationError(f"epsilon must be in [0, 1), got {epsilon}")
@@ -140,20 +142,16 @@ def solve_generalized(
         raise InputDataError(f"shape mismatch: A {A.shape} vs G {G.shape}")
     n = A.shape[0]
     s, U = np.linalg.eigh(G)
-    s_max = s[-1]
-    if s_max <= 0:
-        raise ConditioningError("Gram matrix has no positive spectrum", effective_rank=0)
-    keep = s > epsilon * s_max
-    rank = int(keep.sum())
+    rank = int(np.count_nonzero(s > epsilon * s[-1]))
     if rank < n:
         raise ConditioningError(
             f"Gram matrix rank-deficient for order {n}", effective_rank=rank
         )
-    Y = U[:, keep] / np.sqrt(s[keep])
+    Y = U / np.sqrt(s)
     lam, B = _reduced_eigh(Y, A)
     alpha = Y @ B
     alpha *= _signs(alpha, moment_vector, total_measure)
-    return EigenSolution(n=n, eigenvalues=lam, alpha=alpha, effective_rank=rank)
+    return EigenSolution(eigenvalues=lam, alpha=alpha)
 
 
 def _quadrature_from_solution(grams: GramSet, sol: EigenSolution,
@@ -197,8 +195,7 @@ def solve_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> EigenSolutio
     alpha_g = alpha_f @ beta
     signs = _signs(alpha_g, grams.m, grams.total_measure)
     return EigenSolution(
-        n=grams.n, eigenvalues=lam, alpha=alpha_g * signs,
-        effective_rank=quad_f.eigensolution.effective_rank,
+        eigenvalues=lam, alpha=alpha_g * signs,
         f_solution=quad_f.eigensolution, in_f_basis=beta * signs,
     )
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 import tracemalloc
 
@@ -388,6 +389,7 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
     ({}, ["quadrature", "--scenario", "smooth", "--n", "2",
           "--output", "missing/out.json"], None),
     ({}, ["quadrature", "--input", "in\x00.csv", "--n", "1"], None),
+    ({}, ["quadrature", "--scenario", "smooth", "--n", "2", "--output", "out\x00.json"], None),
     *(({"in.csv": TWO_ATOM_CSV.encode()},
        ["quadrature", "--input", "in.csv", "--n", "1", f"--epsilon={eps}"], None)
       for eps in ("nan", "inf", "2", "-1")),
@@ -404,13 +406,23 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
     ({"in.csv": b"x,w,f\n" + b"".join(b"%r,0.001,%r\n" % (x, np.finfo(float).max)
                                       for x in np.linspace(-1.0, 1.0, 10).tolist())},
      ["quadrature", "--input", "in.csv", "--n", "3"], None),
+    # w f = 1e-600 underflows, so A_f would be all zero
+    ({"in.csv": b"x,w,f\n" + b"".join(b"%r,1e-300,%r\n" % (x, 1e-300 * math.cos(3 * x))
+                                      for x in np.linspace(-1.0, 1.0, 50).tolist())},
+     ["quadrature", "--input", "in.csv", "--n", "8"], None),
+    *(pytest.param({}, ["joint", "--scenario", "smooth", "--n", "8", "--format", fmt,
+                        "--output", "/dev/full"], None,
+                   marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                            reason="no /dev/full device"))
+      for fmt in ("json", "csv")),
 ], ids=["gram-overflow", "csv-not-utf8", "csv-header-not-utf8", "csv-not-utf8-line-50000",
         "rho-not-utf8", "scenario-M-not-int",
         "scenario-seed-not-int", "scenario-not-utf8", "scenario-huge-M",
-        "scenario-law-overflow", "output-dir-missing", "input-path-nul",
+        "scenario-law-overflow", "output-dir-missing", "input-path-nul", "output-path-nul",
         "epsilon-nan", "epsilon-inf", "epsilon-2", "epsilon-negative",
         "rho-order-negative", "rho-ragged-row", "rho-comment-then-text",
-        "rho-nan", "rho-overflow", "joint-overflow", "nodes-past-float-max"])
+        "rho-nan", "rho-overflow", "joint-overflow", "nodes-past-float-max",
+        "operator-underflow", "output-full-device-json", "output-full-device-csv"])
 def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     monkeypatch.chdir(tmp_path)
     for name, data in files.items():
@@ -448,6 +460,26 @@ def test_cli_operator_near_float_max_scales_exactly(tmp_path):
         assert main(["quadrature", "--n", "3", "--input", str(path), "--output", str(out)]) == 0
         nodes.append(np.array(json.loads(out.read_text())["quadrature_f"]["nodes"]))
     np.testing.assert_allclose(nodes[1], 2.0**1019 * nodes[0], rtol=0, atol=1e-15 * 2.0**1019)
+
+
+def test_cli_zero_f_has_zero_nodes(tmp_path):
+    # an all-zero operator of a zero process is exact, not an underflow
+    x = np.linspace(-1.0, 1.0, 50)
+    path, out = tmp_path / "in.csv", tmp_path / "out.json"
+    write_samples_csv(str(path), SampleSet(x=x, w=np.full(50, 1e-300), f=np.zeros(50)))
+    assert main(["quadrature", "--input", str(path), "--n", "8", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["quadrature_f"]["nodes"] == [0.0] * 8
+
+
+def test_cli_broken_stdout_exit_2_names_standard_output(monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["joint", "--scenario", "smooth", "--n", "8"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cannot write standard output: [Errno 32] Broken pipe"]
 
 
 def test_cli_unknown_kind_rejected(two_atom_csv):

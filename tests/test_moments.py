@@ -292,3 +292,23 @@ def test_order_above_memory_bound_rejected_before_evaluation(monkeypatch):
     s = SampleSet(x=x, w=np.ones(n), f=x)
     with pytest.raises(ConfigurationError, match="physical memory"):
         accumulate_grams(s, BasisSpec(Family.CHEBYSHEV, n, DomainMap.from_samples(x)), n)
+
+
+@pytest.mark.parametrize("process", ["f", "g"])
+def test_operator_underflowed_to_zero_is_an_input_error(process):
+    # every product w f is below the float minimum, so A_f would be all zero
+    x = np.linspace(-1.0, 1.0, 50)
+    values = {"f": np.cos(3 * x), "g": np.sin(x)}
+    values[process] = 1e-300 * values[process]
+    samples = SampleSet(x=x, w=np.full(50, 1e-300), **values)
+    with pytest.raises(InputDataError, match=f"A_{process} underflows to zero"):
+        accumulate_grams(samples, BasisSpec(Family.CHEBYSHEV, 8, DomainMap(-1, 1)), 8)
+
+
+def test_operator_zero_by_cancellation_or_zero_process_is_kept(two_atom):
+    # <f> = -1 + 1 = 0 at n = 1, and f vanishes where w > 0: both are exact zeros
+    assert not accumulate_grams(two_atom, monomial(1), 1).A_f.any()
+    x = np.linspace(-1.0, 1.0, 50)
+    samples = SampleSet(x=x, w=(x > 0) * 1.0, f=(x <= 0) * 1.0, g=np.zeros(50))
+    grams = accumulate_grams(samples, monomial(4), 4)
+    assert not grams.A_f.any() and not grams.A_g.any()

@@ -24,7 +24,6 @@ from .joint import (
     VALUE,
     DensityMatrix,
     JointDistributionMatrix,
-    ProjectionMatrix,
     density_from_pure_unit,
     density_from_spectral,
     density_identity,

@@ -109,6 +109,8 @@ def cmd_joint(args) -> int:
     for kind in kinds:
         if kind not in joint_ops.KINDS:
             raise ConfigurationError(f"unknown correlation kind {kind!r}")
+        if kinds.count(kind) > 1:
+            raise ConfigurationError(f"correlation kind {kind!r} listed more than once")
     samples = _load_samples(args)
     if not samples.has_g:
         raise InputDataError("joint estimation needs a g column")

@@ -26,21 +26,6 @@ KINDS = (VALUE, PROBABILITY, DENSITY, PURE_SQUARED)
 
 
 @dataclass(frozen=True)
-class ProjectionMatrix:
-    """Overlaps S_ij between the f- and g-eigenfunctions.
-
-    Both eigenbases are orthonormal bases of the same span, so S is an
-    orthogonal matrix.
-    """
-
-    S: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.S.shape[0]
-
-
-@dataclass(frozen=True)
 class DensityMatrix:
     """A density operator expressed in the f-eigenbasis.
 
@@ -98,14 +83,15 @@ class JointDistributionMatrix:
         return bool((self.W < 0).any())
 
 
-def projection(quad_f: LebesgueQuadrature, quad_g: LebesgueQuadrature) -> ProjectionMatrix:
+def projection(quad_f: LebesgueQuadrature, quad_g: LebesgueQuadrature) -> np.ndarray:
     """S, the g-eigenvectors over the f-eigenfunctions, as solve_in_f_basis
-    found them; equal to alpha_f^T G alpha_g in exact arithmetic.
+    found them; equal to alpha_f^T G alpha_g in exact arithmetic. Both
+    eigenbases are orthonormal bases of the same span, so S is orthogonal.
 
     quad_g must have been solved in quad_f's own eigenbasis."""
     if quad_g.eigensolution.f_solution is not quad_f.eigensolution:
         raise InputDataError("the g quadrature was not solved in this f-eigenbasis")
-    return ProjectionMatrix(S=quad_g.eigensolution.in_f_basis)
+    return quad_g.eigensolution.in_f_basis
 
 
 def density_from_pure_unit(quad_f: LebesgueQuadrature) -> DensityMatrix:
@@ -135,7 +121,7 @@ def density_from_spectral(eigenvalues, vectors) -> DensityMatrix:
         return DensityMatrix(R=(psi * lam) @ psi.T)
 
 
-def _correlation(kind: str, S: ProjectionMatrix, rho: DensityMatrix | None,
+def _correlation(kind: str, S: np.ndarray, rho: DensityMatrix | None,
                  normalization: float | None = None) -> JointDistributionMatrix:
     """The one joint estimator: W = S_ij (R S)_ij, or ((R S)_ij)^2 for the
     squared kind, R being rho's operator.
@@ -144,44 +130,42 @@ def _correlation(kind: str, S: ProjectionMatrix, rho: DensityMatrix | None,
     product is formed. The normalization defaults to spur rho, and for the
     squared kind to W's own total.
     """
-    if rho is not None and rho.n != S.n:
-        raise InputDataError(f"dimension mismatch: rho is {rho.n}, projection is {S.n}")
+    if rho is not None and rho.n != len(S):
+        raise InputDataError(f"dimension mismatch: rho is {rho.n}, projection is {len(S)}")
     with np.errstate(over="ignore", invalid="ignore"):  # reported by JointDistributionMatrix
-        RS = S.S if rho is None else rho.R @ S.S
-        W = RS * RS if kind == PURE_SQUARED else S.S * RS
+        RS = S if rho is None else rho.R @ S
+        W = RS * RS if kind == PURE_SQUARED else S * RS
         if normalization is None:
             normalization = float(W.sum()) if kind == PURE_SQUARED else rho.spur
     return JointDistributionMatrix(kind=kind, W=W, normalization=normalization)
 
 
-def value_correlation(
-    quad_f: LebesgueQuadrature, quad_g: LebesgueQuadrature, S: ProjectionMatrix
-) -> JointDistributionMatrix:
+def value_correlation(quad_f: LebesgueQuadrature, S: np.ndarray) -> JointDistributionMatrix:
     """Signed measure of (f ~ f_i) and (g ~ g_j) sets; exact marginals.
 
     V is the density-matrix correlation at rho = |1><1|, normalized to the
-    total measure; of quad_g, only its eigenvectors enter, as S's columns."""
+    total measure; g enters only through S's columns, its eigenvectors."""
     return _correlation(VALUE, S, density_from_pure_unit(quad_f), quad_f.grams.total_measure)
 
 
-def probability_correlation(S: ProjectionMatrix) -> JointDistributionMatrix:
+def probability_correlation(S: np.ndarray) -> JointDistributionMatrix:
     """Doubly stochastic matrix S_ij^2: the density-matrix correlation at
     rho = I, normalized to the order n."""
-    return _correlation(PROBABILITY, S, None, float(S.n))
+    return _correlation(PROBABILITY, S, None, float(len(S)))
 
 
-def density_matrix_correlation(S: ProjectionMatrix, rho: DensityMatrix) -> JointDistributionMatrix:
+def density_matrix_correlation(S: np.ndarray, rho: DensityMatrix) -> JointDistributionMatrix:
     """General correlation S_ij * (R S)_ij, normalized to the spur of rho."""
     return _correlation(DENSITY, S, rho)
 
 
-def pure_squared_correlation(S: ProjectionMatrix, rho: DensityMatrix) -> JointDistributionMatrix:
+def pure_squared_correlation(S: np.ndarray, rho: DensityMatrix) -> JointDistributionMatrix:
     """Squared correlation ((R S)_ij)^2, normalized to its own total;
     factorizes for rank-1 rho."""
     return _correlation(PURE_SQUARED, S, rho)
 
 
-def pureness_estimate(S: ProjectionMatrix, rho: DensityMatrix) -> float:
+def pureness_estimate(S: np.ndarray, rho: DensityMatrix) -> float:
     """Frobenius distance between the unit-normalized squared correlation and
     the product of its marginals; zero exactly when rho is a pure state."""
     squared = pure_squared_correlation(S, rho)

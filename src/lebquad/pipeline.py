@@ -3,10 +3,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import joint as joint_ops
 from .basis import BasisSpec, DomainMap, Family, support_range
 from .errors import ConfigurationError
-from .joint import DensityMatrix, JointDistributionMatrix, ProjectionMatrix
+from .joint import DensityMatrix, JointDistributionMatrix
 from .moments import GramSet, SampleSet, accumulate_grams
 from .spectral import (
     DEFAULT_EPSILON,
@@ -32,18 +34,18 @@ class AnalysisResult:
     def n(self) -> int:
         return self.grams.n
 
-    def projection(self) -> ProjectionMatrix:
+    def projection(self) -> np.ndarray:
         if self.quad_g is None:
             raise ConfigurationError("joint estimators need a g column")
         return joint_ops.projection(self.quad_f, self.quad_g)
 
     def correlation(self, kind: str, rho: DensityMatrix | None = None,
-                    S: ProjectionMatrix | None = None) -> JointDistributionMatrix:
+                    S: np.ndarray | None = None) -> JointDistributionMatrix:
         """One joint estimator by kind; rho defaults per kind."""
         if S is None:
             S = self.projection()
         if kind == joint_ops.VALUE:
-            return joint_ops.value_correlation(self.quad_f, self.quad_g, S)
+            return joint_ops.value_correlation(self.quad_f, S)
         if kind == joint_ops.PROBABILITY:
             return joint_ops.probability_correlation(S)
         if rho is None:
@@ -56,19 +58,15 @@ class AnalysisResult:
 
 
 def basis_for_samples(samples: SampleSet, size: int,
-                      family: Family | str = Family.CHEBYSHEV,
-                      domain: DomainMap | None = None) -> BasisSpec:
+                      family: Family | str = Family.CHEBYSHEV) -> BasisSpec:
     """Basis sized for the requested order, domain-mapped to the range of the
     samples of positive weight."""
-    if domain is None:
-        domain = DomainMap.from_samples(samples.x, samples.w)
-    return BasisSpec(family=Family(family), size=size, domain=domain)
+    return BasisSpec(Family(family), size, DomainMap.from_samples(samples.x, samples.w))
 
 
 def analyze(samples: SampleSet, n: int = DEFAULT_ORDER,
             family: Family | str = Family.CHEBYSHEV,
-            *, epsilon: float = DEFAULT_EPSILON,
-            domain: DomainMap | None = None) -> AnalysisResult:
+            *, epsilon: float = DEFAULT_EPSILON) -> AnalysisResult:
     """Run the full quadrature pipeline on a sample set.
 
     Computes Gram matrices from streamed moments (:func:`accumulate_grams`),
@@ -81,9 +79,7 @@ def analyze(samples: SampleSet, n: int = DEFAULT_ORDER,
             "all samples of positive weight share one x value; "
             "only order n = 1 is possible"
         )
-    if domain is None:
-        domain = DomainMap.from_range(lo, hi)
-    basis = basis_for_samples(samples, size=n, family=family, domain=domain)
+    basis = BasisSpec(Family(family), n, DomainMap.from_range(lo, hi))
     grams = accumulate_grams(samples, basis, n)
     quad_f = lebesgue_quadrature(grams, "f", epsilon=epsilon)
     quad_g = None

@@ -98,25 +98,44 @@ def _reduced_eigh(Y: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     raise InputDataError("operator overflows in the Gram eigenbasis: sample values too large")
 
 
-def _signs(alpha: np.ndarray, m: np.ndarray | None, total: float | None) -> np.ndarray:
-    """Column signs (+1 or -1) that make the amplitudes alpha^T m non-negative.
-
-    Columns with (numerically) zero amplitude fall back to making the first
-    nonzero coefficient positive, keeping the output deterministic.
+def _signed_reduction(Y: np.ndarray, A: np.ndarray, m: np.ndarray | None, total: float | None):
+    """Eigenpairs of A in the G-orthonormal basis Y: (eigenvalues, alpha = Y B,
+    B, amplitudes alpha^T m or None without m), each column signed so that its
+    amplitude is non-negative. A column of (numerically) zero amplitude, and
+    every column without m, makes its first nonzero coefficient positive.
     """
-    signs = np.ones(alpha.shape[1])
-    tol = _AMPLITUDE_TOL * np.sqrt(total) if total is not None else 0.0
-    for i in range(alpha.shape[1]):
-        col = alpha[:, i]
-        a = float(col @ m) if m is not None else 0.0
-        if m is not None and abs(a) > tol:
-            if a < 0:
-                signs[i] = -1.0
-        else:
-            nz = np.flatnonzero(np.abs(col) > _AMPLITUDE_TOL * max(np.abs(col).max(), 1.0))
-            if nz.size and col[nz[0]] < 0:
-                signs[i] = -1.0
-    return signs
+    lam, B = _reduced_eigh(Y, A)
+    alpha = Y @ B
+    nonzero = np.abs(alpha) > _AMPLITUDE_TOL * np.maximum(np.abs(alpha).max(axis=0), 1.0)
+    first = alpha[nonzero.argmax(axis=0), np.arange(alpha.shape[1])]
+    signs = np.where(nonzero.any(axis=0) & (first < 0), -1.0, 1.0)
+    amplitudes = None
+    if m is not None:
+        amplitudes = alpha.T @ m
+        tol = _AMPLITUDE_TOL * np.sqrt(total) if total is not None else 0.0
+        signs = np.where(np.abs(amplitudes) > tol, np.sign(amplitudes), signs)
+        amplitudes *= signs
+    alpha *= signs
+    B *= signs
+    return lam, alpha, B, amplitudes
+
+
+def _solve_pencil(A, G, epsilon: float, m: np.ndarray | None, total: float | None):
+    """solve_generalized's checks and whitening, then the signed reduction."""
+    if not 0 <= epsilon < 1:  # also rejects nan
+        raise ConfigurationError(f"epsilon must be in [0, 1), got {epsilon}")
+    A = symmetrized(A, "A")
+    G = symmetrized(G, "G")
+    if A.shape != G.shape:
+        raise InputDataError(f"shape mismatch: A {A.shape} vs G {G.shape}")
+    n = A.shape[0]
+    s, U = np.linalg.eigh(G)
+    rank = int(np.count_nonzero(s > epsilon * s[-1]))
+    if rank < n:
+        raise ConditioningError(
+            f"Gram matrix rank-deficient for order {n}", effective_rank=rank
+        )
+    return _signed_reduction(U / np.sqrt(s), A, m, total)
 
 
 def solve_generalized(
@@ -134,47 +153,18 @@ def solve_generalized(
     dropped. ``moment_vector`` (the <Q_k> vector) fixes eigenvector signs
     so amplitudes come out non-negative. ``epsilon`` must lie in [0, 1).
     """
-    if not 0 <= epsilon < 1:  # also rejects nan
-        raise ConfigurationError(f"epsilon must be in [0, 1), got {epsilon}")
-    A = symmetrized(A, "A")
-    G = symmetrized(G, "G")
-    if A.shape != G.shape:
-        raise InputDataError(f"shape mismatch: A {A.shape} vs G {G.shape}")
-    n = A.shape[0]
-    s, U = np.linalg.eigh(G)
-    rank = int(np.count_nonzero(s > epsilon * s[-1]))
-    if rank < n:
-        raise ConditioningError(
-            f"Gram matrix rank-deficient for order {n}", effective_rank=rank
-        )
-    Y = U / np.sqrt(s)
-    lam, B = _reduced_eigh(Y, A)
-    alpha = Y @ B
-    alpha *= _signs(alpha, moment_vector, total_measure)
+    lam, alpha, _, _ = _solve_pencil(A, G, epsilon, moment_vector, total_measure)
     return EigenSolution(eigenvalues=lam, alpha=alpha)
-
-
-def _quadrature_from_solution(grams: GramSet, sol: EigenSolution,
-                              amplitudes: np.ndarray) -> LebesgueQuadrature:
-    return LebesgueQuadrature(
-        nodes=sol.eigenvalues,
-        weights=amplitudes * amplitudes,
-        amplitudes=amplitudes,
-        eigensolution=sol,
-        grams=grams,
-    )
 
 
 def lebesgue_quadrature(
     grams: GramSet, which: str = "f", *, epsilon: float = DEFAULT_EPSILON
 ) -> LebesgueQuadrature:
     """Lebesgue quadrature of one process: nodes, weights, amplitudes."""
-    A = grams.operator(which)
-    sol = solve_generalized(
-        A, grams.G, epsilon=epsilon,
-        moment_vector=grams.m, total_measure=grams.total_measure,
-    )
-    return _quadrature_from_solution(grams, sol, sol.alpha.T @ grams.m)
+    lam, alpha, _, amplitudes = _solve_pencil(
+        grams.operator(which), grams.G, epsilon, grams.m, grams.total_measure)
+    return LebesgueQuadrature(nodes=lam, weights=amplitudes * amplitudes, amplitudes=amplitudes,
+                              eigensolution=EigenSolution(lam, alpha), grams=grams)
 
 
 def solve_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> EigenSolution:
@@ -191,17 +181,15 @@ def solve_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> EigenSolutio
             f"dimension mismatch: f-eigenbasis is {alpha_f.shape[0]}, "
             f"operator is {A_g.shape[0]}"
         )
-    lam, beta = _reduced_eigh(alpha_f, A_g)
-    alpha_g = alpha_f @ beta
-    signs = _signs(alpha_g, grams.m, grams.total_measure)
-    return EigenSolution(
-        eigenvalues=lam, alpha=alpha_g * signs,
-        f_solution=quad_f.eigensolution, in_f_basis=beta * signs,
-    )
+    lam, alpha_g, beta, _ = _signed_reduction(alpha_f, A_g, grams.m, grams.total_measure)
+    return EigenSolution(eigenvalues=lam, alpha=alpha_g,
+                         f_solution=quad_f.eigensolution, in_f_basis=beta)
 
 
 def lebesgue_quadrature_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> LebesgueQuadrature:
     """Quadrature of g computed through the f-eigenbasis shortcut; its
     amplitudes are S^T a_f, S being the solution's ``in_f_basis``."""
     sol = solve_in_f_basis(grams, quad_f)
-    return _quadrature_from_solution(grams, sol, sol.in_f_basis.T @ quad_f.amplitudes)
+    amplitudes = sol.in_f_basis.T @ quad_f.amplitudes
+    return LebesgueQuadrature(nodes=sol.eigenvalues, weights=amplitudes * amplitudes,
+                              amplitudes=amplitudes, eigensolution=sol, grams=grams)

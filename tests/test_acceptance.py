@@ -111,7 +111,7 @@ def test_criterion_06_diagonal_case(scenario_samples):
     samples = SampleSet(x=base.x, w=base.w, f=base.f, g=base.f)
     result = analyze(samples, n=N)
     S = result.projection()
-    V = value_correlation(result.quad_f, result.quad_g, S)
+    V = value_correlation(result.quad_f, S)
     P = probability_correlation(S)
     total = result.grams.total_measure
     off = np.abs(V.W - np.diag(np.diag(V.W))).max()

@@ -486,6 +486,16 @@ def test_cli_unknown_kind_rejected(two_atom_csv):
     assert main(["joint", "--input", two_atom_csv, "--kinds", "bogus"]) == 2
 
 
+def test_cli_repeated_kind_rejected(capsys):
+    # each kind is one matrix and one meta residual; a repeat would give the
+    # joint array an entry without its residual
+    assert main(["joint", "--scenario", "smooth", "--n", "2", "--kinds", "value,value"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: correlation kind 'value' listed more than once"]
+
+
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

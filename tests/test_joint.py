@@ -43,18 +43,18 @@ def same_g_result(samples, n=5):
 
 def test_projection_is_orthogonal(smooth_result):
     S = smooth_result.projection()
-    assert np.abs(S.S @ S.S.T - np.eye(S.n)).max() <= 1e-8
+    assert np.abs(S @ S.T - np.eye(len(S))).max() <= 1e-8
 
 
 def test_projection_identity_when_g_is_f(scenario_samples):
     result = same_g_result(scenario_samples["smooth"])
     S = result.projection()
-    np.testing.assert_allclose(S.S, np.eye(S.n), atol=1e-8)
+    np.testing.assert_allclose(S, np.eye(len(S)), atol=1e-8)
 
 
 def test_projection_antidiagonal_two_atom(two_atom_result):
     S = two_atom_result.projection()
-    np.testing.assert_allclose(np.abs(S.S), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
+    np.testing.assert_allclose(np.abs(S), [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
 
 
 def test_projection_affine_g():
@@ -63,7 +63,7 @@ def test_projection_affine_g():
     f = np.sin(2 * x)
     s = SampleSet(x=x, w=np.ones(300), f=f, g=3 * f + 2)
     S = analyze(s, n=4).projection()
-    np.testing.assert_allclose(S.S, np.eye(4), atol=1e-7)
+    np.testing.assert_allclose(S, np.eye(4), atol=1e-7)
 
 
 def test_projection_rejects_mixed_gram_sets(scenario_samples):
@@ -138,14 +138,14 @@ def test_projection_matches_gram_contraction(scenario_samples, name, family):
     result = analyze(scenario_samples[name], n=64, family=family)
     alpha_f = result.quad_f.eigensolution.alpha
     alpha_g = result.quad_g.eigensolution.alpha
-    gap = np.abs(result.projection().S - alpha_f.T @ result.grams.G @ alpha_g).max()
+    gap = np.abs(result.projection() - alpha_f.T @ result.grams.G @ alpha_g).max()
     assert gap <= 1e-13
 
 
 def test_value_correlation_diagonal_when_f_is_g(scenario_samples):
     result = same_g_result(scenario_samples["smooth"])
     S = result.projection()
-    V = value_correlation(result.quad_f, result.quad_g, S)
+    V = value_correlation(result.quad_f, S)
     total = result.grams.total_measure
     off = V.W - np.diag(np.diag(V.W))
     assert np.abs(off).max() <= 1e-8 * total
@@ -154,7 +154,7 @@ def test_value_correlation_diagonal_when_f_is_g(scenario_samples):
 
 def test_value_correlation_two_atom(two_atom_result):
     S = two_atom_result.projection()
-    V = value_correlation(two_atom_result.quad_f, two_atom_result.quad_g, S)
+    V = value_correlation(two_atom_result.quad_f, S)
     np.testing.assert_allclose(V.W, [[0.0, 1.0], [1.0, 0.0]], atol=1e-12)
     assert V.normalization == 2.0
 
@@ -248,8 +248,8 @@ def test_density_correlation_random_spectral_sum_rule(smooth_result):
 def test_pure_squared_identity_rho_same_process(scenario_samples):
     result = same_g_result(scenario_samples["smooth"])
     S = result.projection()
-    W = pure_squared_correlation(S, density_identity(S.n)).W
-    np.testing.assert_allclose(W, np.eye(S.n), atol=1e-7)
+    W = pure_squared_correlation(S, density_identity(len(S))).W
+    np.testing.assert_allclose(W, np.eye(len(S)), atol=1e-7)
 
 
 def test_pureness_zero_for_pure_states(smooth_result):
@@ -257,7 +257,7 @@ def test_pureness_zero_for_pure_states(smooth_result):
     assert pureness_estimate(S, density_from_pure_unit(smooth_result.quad_f)) <= 1e-8
     rng = np.random.default_rng(29)
     for _ in range(5):
-        u = rng.standard_normal(S.n)
+        u = rng.standard_normal(len(S))
         u /= np.linalg.norm(u)
         rho = DensityMatrix(R=np.outer(u, u))
         assert pureness_estimate(S, rho) <= 1e-8
@@ -274,9 +274,9 @@ def test_pureness_positive_for_mixed_state():
 def test_dimension_mismatch_rejected(smooth_result):
     S = smooth_result.projection()
     with pytest.raises(InputDataError):
-        density_matrix_correlation(S, density_identity(S.n + 1))
+        density_matrix_correlation(S, density_identity(len(S) + 1))
     with pytest.raises(InputDataError):
-        pure_squared_correlation(S, density_identity(S.n - 1))
+        pure_squared_correlation(S, density_identity(len(S) - 1))
 
 
 def test_sign_flip_invariance(scenario_samples):
@@ -292,13 +292,9 @@ def test_sign_flip_invariance(scenario_samples):
     flipped_f = LebesgueQuadrature(
         nodes=qf.nodes, weights=qf.weights, amplitudes=qf.amplitudes * signs_f,
         eigensolution=qf.eigensolution, grams=qf.grams)
-    qg = result.quad_g
-    flipped_g = LebesgueQuadrature(
-        nodes=qg.nodes, weights=qg.weights, amplitudes=qg.amplitudes * signs_g,
-        eigensolution=qg.eigensolution, grams=qg.grams)
-    S_flipped = type(S)(S=signs_f[:, None] * S.S * signs_g[None, :])
-    V1 = value_correlation(qf, qg, S).W
-    V2 = value_correlation(flipped_f, flipped_g, S_flipped).W
+    S_flipped = signs_f[:, None] * S * signs_g[None, :]
+    V1 = value_correlation(qf, S).W
+    V2 = value_correlation(flipped_f, S_flipped).W
     np.testing.assert_allclose(V1, V2, atol=1e-12 * np.abs(V1).max())
     np.testing.assert_allclose(probability_correlation(S).W,
                                probability_correlation(S_flipped).W, atol=1e-12)

@@ -3,14 +3,17 @@
 ``perfbench/tracing.py`` rebinds module attributes by name; a renamed or
 bypassed function would silently drop out of the traced run.
 """
+import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from lebquad import SampleSet, cli, io, joint, moments, pipeline
+from lebquad import SampleSet, cli, datagen, io, joint, moments, pipeline
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -78,3 +81,16 @@ def test_cli_joint_reaches_each_traced_estimator_once(monkeypatch, tmp_path):
                      "--kinds", "value,probability,density,pure_squared",
                      "--output", str(tmp_path / "out.json")]) == 0
     assert calls == dict.fromkeys(names, 1)
+
+
+def test_benchmark_joint_path_passes_its_own_checks(monkeypatch):
+    # the benchmark's in-memory op and its CLI output check, on a small input:
+    # a change to what the joint layer returns breaks them here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py does `import tracing`
+    workloads = importlib.import_module("workloads")
+    samples = datagen.generate(replace(datagen.load_scenario("smooth"), M=2000))
+    res = workloads.analyze_joint(samples, 8, "chebyshev", serialize=True)
+    assert workloads.identity_failures(res.outputs()) == []
+    cli_csv = workloads.CliCsv(seed=1, smoke=True)
+    cli_csv.ref_nodes = (res.result.quad_f.nodes, res.result.quad_g.nodes)
+    assert cli_csv.check(workloads.CliResult(0, res.text.encode(), b"", 0)) == []

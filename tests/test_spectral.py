@@ -15,6 +15,7 @@ from lebquad import (
     solve_generalized,
     solve_in_f_basis,
 )
+from lebquad.spectral import _AMPLITUDE_TOL, _reduced_eigh, symmetrized
 
 
 def test_hand_two_by_two_pencil():
@@ -211,3 +212,75 @@ def test_subnormal_measure_solves():
     unit = analyze(SampleSet(x=x, w=np.ones(50), f=f), n=4).quad_f.nodes
     tiny = analyze(SampleSet(x=x, w=np.full(50, 2.0**-1040), f=f), n=4).quad_f.nodes
     np.testing.assert_allclose(tiny, unit, rtol=1e-6)
+
+
+def _reference_signs(alpha, m, total):
+    """The sign rule column by column: the sign of a column's amplitude
+    alpha^T m when it exceeds the tolerance, else that of its first nonzero
+    coefficient. Also returns the columns the fallback decided."""
+    signs = np.ones(alpha.shape[1])
+    fallback = []
+    tol = _AMPLITUDE_TOL * np.sqrt(total)
+    for i in range(alpha.shape[1]):
+        col = alpha[:, i]
+        a = float(col @ m)
+        if abs(a) > tol:
+            if a < 0:
+                signs[i] = -1.0
+        else:
+            fallback.append(i)
+            nz = np.flatnonzero(np.abs(col) > _AMPLITUDE_TOL * max(np.abs(col).max(), 1.0))
+            if nz.size and col[nz[0]] < 0:
+                signs[i] = -1.0
+    return signs, fallback
+
+
+def _signed(Y, A, grams):
+    """The unsigned reduction of A in the basis Y, signed by the reference:
+    alpha, B and the columns the fallback decided."""
+    _, B = _reduced_eigh(Y, A)
+    signs, fallback = _reference_signs(Y @ B, grams.m, grams.total_measure)
+    return (Y @ B) * signs, B * signs, fallback
+
+
+def _assert_signed_as_reference(result):
+    """Both solutions and amplitudes equal the reference's, bit for bit;
+    returns the columns its fallback decided in the f and the g pencil."""
+    grams = result.grams
+    s, U = np.linalg.eigh(symmetrized(grams.G, "G"))
+    alpha_f, _, fallback_f = _signed(U / np.sqrt(s), symmetrized(grams.operator("f"), "A"), grams)
+    alpha_g, S, fallback_g = _signed(alpha_f, grams.operator("g"), grams)
+    quad_f, sol_g = result.quad_f, result.quad_g.eigensolution
+    np.testing.assert_array_equal(quad_f.eigensolution.alpha, alpha_f)
+    np.testing.assert_array_equal(quad_f.amplitudes, alpha_f.T @ grams.m)
+    np.testing.assert_array_equal(sol_g.alpha, alpha_g)
+    np.testing.assert_array_equal(sol_g.in_f_basis, S)
+    np.testing.assert_array_equal(result.quad_g.amplitudes, S.T @ quad_f.amplitudes)
+    return fallback_f, fallback_g
+
+
+@pytest.mark.parametrize("family", ["chebyshev", "legendre"])
+@pytest.mark.parametrize("n", [8, 64])
+def test_sign_rule_matches_per_column_reference(scenario_samples, family, n):
+    for samples in scenario_samples.values():
+        _assert_signed_as_reference(analyze(samples, n=n, family=family))
+
+
+@pytest.mark.parametrize("family", ["chebyshev", "legendre"])
+def test_sign_rule_fallback_on_zero_amplitudes(family):
+    # x symmetric about 0 with even f and g: every odd eigenfunction
+    # integrates to zero, so the first nonzero coefficient decides its sign
+    h = np.arange(1, 101) / 100
+    x = np.concatenate([-h[::-1], [0.0], h])
+    s = SampleSet(x=x, w=np.ones(x.size), f=x**2, g=np.cos(3 * x))
+    result = analyze(s, n=6, family=family)
+    fallback_f, fallback_g = _assert_signed_as_reference(result)
+    assert len(fallback_f) == 3 and len(fallback_g) == 3
+    # without a moment vector, as solve_generalized takes it, every column falls back
+    A, G = result.grams.operator("f"), result.grams.G
+    w, U = np.linalg.eigh(symmetrized(G, "G"))
+    Y = U / np.sqrt(w)
+    _, B = _reduced_eigh(Y, symmetrized(A, "A"))
+    signs, fallback = _reference_signs(Y @ B, np.zeros(6), 1.0)
+    assert len(fallback) == 6
+    np.testing.assert_array_equal(solve_generalized(A, G).alpha, (Y @ B) * signs)

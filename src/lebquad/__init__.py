@@ -42,7 +42,6 @@ from .spectral import (
     lebesgue_quadrature,
     lebesgue_quadrature_in_f_basis,
     solve_generalized,
-    solve_in_f_basis,
 )
 
 __version__ = "0.1.0"

@@ -41,30 +41,15 @@ class DomainMap:
         x = np.asarray(x, dtype=float)
         return (2.0 * x - self.x_min - self.x_max) / (self.x_max - self.x_min)
 
-    @classmethod
-    def identity(cls) -> "DomainMap":
-        return cls(-1.0, 1.0)
 
-    @classmethod
-    def from_samples(cls, x, w=None) -> "DomainMap":
-        """Map built from the range of the samples of positive weight (of all
-        samples when w is None); identity if they all coincide."""
-        return cls.from_range(*support_range(x, w))
+def support_range(x, w) -> tuple[float, float]:
+    """Smallest and largest x over the samples of positive weight w.
 
-    @classmethod
-    def from_range(cls, lo: float, hi: float) -> "DomainMap":
-        """Map of [lo, hi]; identity if lo == hi."""
-        return cls.identity() if lo == hi else cls(lo, hi)
-
-
-def support_range(x, w=None) -> tuple[float, float]:
-    """Smallest and largest x of positive weight w (of all x when w is None).
-
-    Zero-weight samples add nothing to any Gram matrix, so they must not
-    move the domain. No copy of x is made.
+    Zero-weight samples add nothing to any Gram matrix, so they move neither
+    the domain nor the range of a process. No copy of x is made.
     """
     x = np.asarray(x, dtype=float)
-    if w is None or np.min(w) > 0:  # a masked reduction is ~4x slower
+    if np.min(w) > 0:  # a masked reduction is ~4x slower
         return float(x.min()), float(x.max())
     positive = np.asarray(w) > 0
     return (float(np.min(x, where=positive, initial=np.inf)),

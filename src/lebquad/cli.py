@@ -56,6 +56,8 @@ def build_parser():
 
 def _load_samples(args):
     if args.input:
+        if args.seed is not None:
+            raise ConfigurationError("--seed applies only to --scenario")
         return lio.read_samples_csv(args.input)
     spec = load_scenario(args.scenario)
     if args.seed is not None:

@@ -84,9 +84,10 @@ class JointDistributionMatrix:
 
 
 def projection(quad_f: LebesgueQuadrature, quad_g: LebesgueQuadrature) -> np.ndarray:
-    """S, the g-eigenvectors over the f-eigenfunctions, as solve_in_f_basis
-    found them; equal to alpha_f^T G alpha_g in exact arithmetic. Both
-    eigenbases are orthonormal bases of the same span, so S is orthogonal.
+    """S, the g-eigenvectors over the f-eigenfunctions, as
+    lebesgue_quadrature_in_f_basis found them; equal to alpha_f^T G alpha_g
+    in exact arithmetic. Both eigenbases are orthonormal bases of the same
+    span, so S is orthogonal.
 
     quad_g must have been solved in quad_f's own eigenbasis."""
     if quad_g.eigensolution.f_solution is not quad_f.eigensolution:

@@ -137,15 +137,6 @@ class GramSet:
     def has_g(self) -> bool:
         return self.A_g is not None
 
-    def operator(self, which: str) -> np.ndarray:
-        if which == "f":
-            return self.A_f
-        if which == "g":
-            if self.A_g is None:
-                raise ConfigurationError("samples carried no g column")
-            return self.A_g
-        raise ConfigurationError(f"unknown process {which!r}, expected 'f' or 'g'")
-
 
 def _mirror(M: np.ndarray) -> np.ndarray:
     # Bit-for-bit symmetric over the last two axes: keep the upper

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import joint as joint_ops
 from .basis import BasisSpec, DomainMap, Family, support_range
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InputDataError
 from .joint import DensityMatrix, JointDistributionMatrix
 from .moments import GramSet, SampleSet, accumulate_grams
 from .spectral import (
@@ -59,9 +59,30 @@ class AnalysisResult:
 
 def basis_for_samples(samples: SampleSet, size: int,
                       family: Family | str = Family.CHEBYSHEV) -> BasisSpec:
-    """Basis sized for the requested order, domain-mapped to the range of the
-    samples of positive weight."""
-    return BasisSpec(Family(family), size, DomainMap.from_samples(samples.x, samples.w))
+    """Basis of the given size, domain-mapped to the range of the samples of
+    positive weight. If they all share one x value, only size 1 is possible
+    (ConfigurationError otherwise), and its domain is [-1, 1]."""
+    lo, hi = support_range(samples.x, samples.w)
+    if lo == hi:
+        if size >= 2:
+            raise ConfigurationError(
+                "all samples of positive weight share one x value; "
+                "only order n = 1 is possible"
+            )
+        lo, hi = -1.0, 1.0
+    return BasisSpec(family, size, DomainMap(lo, hi))
+
+
+def _check_nodes_in_range(name: str, nodes: np.ndarray, values: np.ndarray, w: np.ndarray):
+    """Each node is a generalized Rayleigh quotient, a weighted mean of its
+    process over the samples of positive weight, so it lies in their range;
+    one beyond it by more than rounding (1e-8 of its largest magnitude)
+    means the Gram sums lost their precision, as for subnormal weights."""
+    lo, hi = support_range(values, w)
+    tol = 1e-8 * max(abs(lo), abs(hi))
+    if nodes[0] < lo - tol or nodes[-1] > hi + tol:
+        raise InputDataError(f"{name} nodes fall outside the range of {name}: "
+                             "sample values too small for the Gram sums")
 
 
 def analyze(samples: SampleSet, n: int = DEFAULT_ORDER,
@@ -71,19 +92,17 @@ def analyze(samples: SampleSet, n: int = DEFAULT_ORDER,
 
     Computes Gram matrices from streamed moments (:func:`accumulate_grams`),
     solves the f-pencil, and when g is present solves the g-problem in the
-    f-eigenbasis.
+    f-eigenbasis. Nodes outside the range of their process raise
+    InputDataError.
     """
-    lo, hi = support_range(samples.x, samples.w)
-    if n >= 2 and lo == hi:
-        raise ConfigurationError(
-            "all samples of positive weight share one x value; "
-            "only order n = 1 is possible"
-        )
-    basis = BasisSpec(Family(family), n, DomainMap.from_range(lo, hi))
+    basis = basis_for_samples(samples, n, family)
     grams = accumulate_grams(samples, basis, n)
-    quad_f = lebesgue_quadrature(grams, "f", epsilon=epsilon)
+    quad_f = lebesgue_quadrature(grams, grams.A_f, epsilon=epsilon)
     quad_g = None
     if grams.has_g:
         quad_g = lebesgue_quadrature_in_f_basis(grams, quad_f)
+    _check_nodes_in_range("f", quad_f.nodes, samples.f, samples.w)
+    if quad_g is not None:
+        _check_nodes_in_range("g", quad_g.nodes, samples.g, samples.w)
     return AnalysisResult(samples=samples, basis=basis, grams=grams,
                           quad_f=quad_f, quad_g=quad_g)

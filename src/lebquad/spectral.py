@@ -24,9 +24,9 @@ class EigenSolution:
 
     eigenvalues: np.ndarray  # ascending
     alpha: np.ndarray  # column i is the coefficient vector over Q_k
-    # for a solution from solve_in_f_basis: the f solution it was solved in,
-    # and column i over its eigenfunctions, the projection S between the two
-    # eigenbases
+    # for a solution from lebesgue_quadrature_in_f_basis: the f solution it
+    # was solved in, and column i over its eigenfunctions, the projection S
+    # between the two eigenbases
     f_solution: EigenSolution | None = None
     in_f_basis: np.ndarray | None = None
 
@@ -98,7 +98,7 @@ def _reduced_eigh(Y: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     raise InputDataError("operator overflows in the Gram eigenbasis: sample values too large")
 
 
-def _signed_reduction(Y: np.ndarray, A: np.ndarray, m: np.ndarray | None, total: float | None):
+def _signed_reduction(Y: np.ndarray, A: np.ndarray, m: np.ndarray | None):
     """Eigenpairs of A in the G-orthonormal basis Y: (eigenvalues, alpha = Y B,
     B, amplitudes alpha^T m or None without m), each column signed so that its
     amplitude is non-negative. A column of (numerically) zero amplitude, and
@@ -112,7 +112,7 @@ def _signed_reduction(Y: np.ndarray, A: np.ndarray, m: np.ndarray | None, total:
     amplitudes = None
     if m is not None:
         amplitudes = alpha.T @ m
-        tol = _AMPLITUDE_TOL * np.sqrt(total) if total is not None else 0.0
+        tol = _AMPLITUDE_TOL * np.sqrt(m[0])
         signs = np.where(np.abs(amplitudes) > tol, np.sign(amplitudes), signs)
         amplitudes *= signs
     alpha *= signs
@@ -120,7 +120,7 @@ def _signed_reduction(Y: np.ndarray, A: np.ndarray, m: np.ndarray | None, total:
     return lam, alpha, B, amplitudes
 
 
-def _solve_pencil(A, G, epsilon: float, m: np.ndarray | None, total: float | None):
+def _solve_pencil(A, G, epsilon: float, m: np.ndarray | None):
     """solve_generalized's checks and whitening, then the signed reduction."""
     if not 0 <= epsilon < 1:  # also rejects nan
         raise ConfigurationError(f"epsilon must be in [0, 1), got {epsilon}")
@@ -135,61 +135,48 @@ def _solve_pencil(A, G, epsilon: float, m: np.ndarray | None, total: float | Non
         raise ConditioningError(
             f"Gram matrix rank-deficient for order {n}", effective_rank=rank
         )
-    return _signed_reduction(U / np.sqrt(s), A, m, total)
+    return _signed_reduction(U / np.sqrt(s), A, m)
 
 
-def solve_generalized(
-    A: np.ndarray,
-    G: np.ndarray,
-    *,
-    epsilon: float = DEFAULT_EPSILON,
-    moment_vector: np.ndarray | None = None,
-    total_measure: float | None = None,
-) -> EigenSolution:
+def solve_generalized(A: np.ndarray, G: np.ndarray, *,
+                      epsilon: float = DEFAULT_EPSILON) -> EigenSolution:
     """Solve A alpha = lambda G alpha for a symmetric pencil with PSD G.
 
     G is eigendecomposed; an eigenvalue at or below epsilon * lambda_max(G)
     makes the pencil rank-deficient (ConditioningError), and no direction is
-    dropped. ``moment_vector`` (the <Q_k> vector) fixes eigenvector signs
-    so amplitudes come out non-negative. ``epsilon`` must lie in [0, 1).
+    dropped. Each eigenvector's first nonzero coefficient is positive.
+    ``epsilon`` must lie in [0, 1).
     """
-    lam, alpha, _, _ = _solve_pencil(A, G, epsilon, moment_vector, total_measure)
+    lam, alpha, _, _ = _solve_pencil(A, G, epsilon, None)
     return EigenSolution(eigenvalues=lam, alpha=alpha)
 
 
-def lebesgue_quadrature(
-    grams: GramSet, which: str = "f", *, epsilon: float = DEFAULT_EPSILON
-) -> LebesgueQuadrature:
-    """Lebesgue quadrature of one process: nodes, weights, amplitudes."""
-    lam, alpha, _, amplitudes = _solve_pencil(
-        grams.operator(which), grams.G, epsilon, grams.m, grams.total_measure)
+def lebesgue_quadrature(grams: GramSet, A: np.ndarray, *,
+                        epsilon: float = DEFAULT_EPSILON) -> LebesgueQuadrature:
+    """Lebesgue quadrature of the process of operator A (``grams.A_f`` or
+    ``grams.A_g``): nodes, weights, amplitudes. Eigenvectors are signed by
+    the moment vector so that amplitudes come out non-negative."""
+    lam, alpha, _, amplitudes = _solve_pencil(A, grams.G, epsilon, grams.m)
     return LebesgueQuadrature(nodes=lam, weights=amplitudes * amplitudes, amplitudes=amplitudes,
                               eigensolution=EigenSolution(lam, alpha), grams=grams)
 
 
-def solve_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> EigenSolution:
-    """Solve the g-problem in the f-eigenbasis, where the pencil has unit
-    right-hand side, then back-transform coefficients to the Q-basis.
-
-    The eigenvectors over the f-eigenfunctions are kept as ``in_f_basis``,
-    and quad_f's solution as ``f_solution``.
-    """
-    A_g = grams.operator("g")
+def lebesgue_quadrature_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> LebesgueQuadrature:
+    """Quadrature of g, solved in the f-eigenbasis, where the pencil has unit
+    right-hand side. Its solution keeps the eigenvectors over the
+    f-eigenfunctions, S, as ``in_f_basis`` and quad_f's solution as
+    ``f_solution``; the amplitudes are S^T a_f."""
+    if grams.A_g is None:
+        raise ConfigurationError("samples carried no g column")
     alpha_f = quad_f.eigensolution.alpha
-    if alpha_f.shape[0] != A_g.shape[0]:
+    if alpha_f.shape[0] != grams.A_g.shape[0]:
         raise InputDataError(
             f"dimension mismatch: f-eigenbasis is {alpha_f.shape[0]}, "
-            f"operator is {A_g.shape[0]}"
+            f"operator is {grams.A_g.shape[0]}"
         )
-    lam, alpha_g, beta, _ = _signed_reduction(alpha_f, A_g, grams.m, grams.total_measure)
-    return EigenSolution(eigenvalues=lam, alpha=alpha_g,
-                         f_solution=quad_f.eigensolution, in_f_basis=beta)
-
-
-def lebesgue_quadrature_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> LebesgueQuadrature:
-    """Quadrature of g computed through the f-eigenbasis shortcut; its
-    amplitudes are S^T a_f, S being the solution's ``in_f_basis``."""
-    sol = solve_in_f_basis(grams, quad_f)
-    amplitudes = sol.in_f_basis.T @ quad_f.amplitudes
-    return LebesgueQuadrature(nodes=sol.eigenvalues, weights=amplitudes * amplitudes,
+    lam, alpha_g, S, _ = _signed_reduction(alpha_f, grams.A_g, grams.m)
+    amplitudes = S.T @ quad_f.amplitudes
+    sol = EigenSolution(eigenvalues=lam, alpha=alpha_g,
+                        f_solution=quad_f.eigensolution, in_f_basis=S)
+    return LebesgueQuadrature(nodes=lam, weights=amplitudes * amplitudes,
                               amplitudes=amplitudes, eigensolution=sol, grams=grams)

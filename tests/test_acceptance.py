@@ -124,7 +124,7 @@ def test_criterion_06_diagonal_case(scenario_samples):
 def test_criterion_07_two_route_equivalence(results):
     worst_nodes, worst_weights = 0.0, 0.0
     for result in results.values():
-        direct = lebesgue_quadrature(result.grams, "g")
+        direct = lebesgue_quadrature(result.grams, result.grams.A_g)
         shortcut = lebesgue_quadrature_in_f_basis(result.grams, result.quad_f)
         scale = np.abs(direct.nodes).max()
         worst_nodes = max(worst_nodes,

@@ -11,6 +11,7 @@ from lebquad import (
     InputDataError,
     SampleSet,
     analyze,
+    basis_for_samples,
 )
 from lebquad.basis import evaluate_all
 
@@ -101,7 +102,7 @@ def test_zero_weight_sample_does_not_move_the_domain(scenario_samples):
     # the order-8 Gram matrix loses rank (effective rank 7)
     s = SampleSet(x=np.append(base.x, lo + 3 * (hi - lo)), w=np.append(base.w, 0.0),
                   f=np.append(base.f, 0.0), g=np.append(base.g, 0.0))
-    assert DomainMap.from_samples(s.x, s.w) == DomainMap(lo, hi)
+    assert basis_for_samples(s, 8).domain == DomainMap(lo, hi)
     result, want = analyze(s, n=8), analyze(base, n=8)
     assert result.basis.domain == want.basis.domain
     np.testing.assert_allclose(result.quad_f.nodes, want.quad_f.nodes, rtol=1e-12)
@@ -112,4 +113,7 @@ def test_single_positive_weight_x_needs_order_one():
                   f=np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ConfigurationError, match="one x value"):
         analyze(s, n=2)
-    assert analyze(s, n=1).basis.domain == DomainMap.identity()
+    assert analyze(s, n=1).basis.domain == DomainMap(-1.0, 1.0)
+    with pytest.raises(ConfigurationError, match="one x value"):
+        basis_for_samples(s, 2)
+    assert basis_for_samples(s, 1).domain == DomainMap(-1.0, 1.0)

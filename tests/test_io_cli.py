@@ -410,6 +410,12 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
     ({"in.csv": b"x,w,f\n" + b"".join(b"%r,1e-300,%r\n" % (x, 1e-300 * math.cos(3 * x))
                                       for x in np.linspace(-1.0, 1.0, 50).tolist())},
      ["quadrature", "--input", "in.csv", "--n", "8"], None),
+    # subnormal weights leave too few bits in G: f nodes reach -2.2 and 1.03
+    ({"in.csv": b"x,w,f,g\n" + b"".join(b"%r,5e-324,%r,%r\n" % (x, math.cos(3 * x), math.sin(x))
+                                        for x in np.linspace(-1.0, 1.0, 50).tolist())},
+     ["quadrature", "--input", "in.csv", "--n", "8"], None),
+    ({"in.csv": TWO_ATOM_CSV.encode()},
+     ["joint", "--input", "in.csv", "--n", "2", "--seed", "5"], None),
     *(pytest.param({}, ["joint", "--scenario", "smooth", "--n", "8", "--format", fmt,
                         "--output", "/dev/full"], None,
                    marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
@@ -422,7 +428,8 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
         "epsilon-nan", "epsilon-inf", "epsilon-2", "epsilon-negative",
         "rho-order-negative", "rho-ragged-row", "rho-comment-then-text",
         "rho-nan", "rho-overflow", "joint-overflow", "nodes-past-float-max",
-        "operator-underflow", "output-full-device-json", "output-full-device-csv"])
+        "operator-underflow", "nodes-outside-range", "seed-with-input",
+        "output-full-device-json", "output-full-device-csv"])
 def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     monkeypatch.chdir(tmp_path)
     for name, data in files.items():

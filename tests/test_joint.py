@@ -74,7 +74,7 @@ def test_projection_rejects_mixed_gram_sets(scenario_samples):
 
 
 def test_projection_needs_g_solved_in_f_basis(smooth_result):
-    direct = lebesgue_quadrature(smooth_result.grams, "g")
+    direct = lebesgue_quadrature(smooth_result.grams, smooth_result.grams.A_g)
     with pytest.raises(InputDataError, match="f-eigenbasis"):
         projection(smooth_result.quad_f, direct)
 

@@ -94,3 +94,18 @@ def test_benchmark_joint_path_passes_its_own_checks(monkeypatch):
     cli_csv = workloads.CliCsv(seed=1, smoke=True)
     cli_csv.ref_nodes = (res.result.quad_f.nodes, res.result.quad_g.nodes)
     assert cli_csv.check(workloads.CliResult(0, res.text.encode(), b"", 0)) == []
+
+
+def test_benchmark_gram_peak_calls_build_the_grams_of_analyze(monkeypatch, tmp_path):
+    # perfbench/measure.gram_peak_mb makes these two calls on each case; only
+    # traced runs reach it, and measure.py is not imported here (it imports scipy)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    bulk = workloads.Bulk(seed=1, smoke=True)
+    bulk.setup_inputs(tmp_path)
+    for samples, n, family in bulk.cases:
+        basis = pipeline.basis_for_samples(samples, n, family)
+        grams = moments.accumulate_grams(samples, basis, n)
+        want = pipeline.analyze(samples, n=n, family=family).grams
+        for name in ("G", "A_f", "A_g"):
+            np.testing.assert_array_equal(getattr(grams, name), getattr(want, name))

@@ -4,6 +4,7 @@ import pytest
 from lebquad import (
     BasisSpec,
     ConditioningError,
+    ConfigurationError,
     DomainMap,
     Family,
     InputDataError,
@@ -13,7 +14,6 @@ from lebquad import (
     lebesgue_quadrature,
     lebesgue_quadrature_in_f_basis,
     solve_generalized,
-    solve_in_f_basis,
 )
 from lebquad.spectral import _AMPLITUDE_TOL, _reduced_eigh, symmetrized
 
@@ -111,10 +111,16 @@ def test_g_in_f_basis_same_process(two_atom):
     s = SampleSet(x=two_atom.x, w=two_atom.w, f=two_atom.f, g=two_atom.f)
     result = analyze(s, n=2, family="monomial")
     grams = result.grams
-    sol_g = solve_in_f_basis(grams, result.quad_f)
+    sol_g = lebesgue_quadrature_in_f_basis(grams, result.quad_f).eigensolution
     np.testing.assert_allclose(sol_g.eigenvalues, result.quad_f.nodes, atol=1e-12)
     B = result.quad_f.eigensolution.alpha.T @ grams.A_g @ result.quad_f.eigensolution.alpha
     np.testing.assert_allclose(B, np.diag(result.quad_f.nodes), atol=1e-12)
+
+
+def test_g_in_f_basis_needs_g_column(two_atom):
+    result = analyze(SampleSet(x=two_atom.x, w=two_atom.w, f=two_atom.f), n=2, family="monomial")
+    with pytest.raises(ConfigurationError, match="no g column"):
+        lebesgue_quadrature_in_f_basis(result.grams, result.quad_f)
 
 
 def test_g_affine_of_f():
@@ -248,8 +254,8 @@ def _assert_signed_as_reference(result):
     returns the columns its fallback decided in the f and the g pencil."""
     grams = result.grams
     s, U = np.linalg.eigh(symmetrized(grams.G, "G"))
-    alpha_f, _, fallback_f = _signed(U / np.sqrt(s), symmetrized(grams.operator("f"), "A"), grams)
-    alpha_g, S, fallback_g = _signed(alpha_f, grams.operator("g"), grams)
+    alpha_f, _, fallback_f = _signed(U / np.sqrt(s), symmetrized(grams.A_f, "A"), grams)
+    alpha_g, S, fallback_g = _signed(alpha_f, grams.A_g, grams)
     quad_f, sol_g = result.quad_f, result.quad_g.eigensolution
     np.testing.assert_array_equal(quad_f.eigensolution.alpha, alpha_f)
     np.testing.assert_array_equal(quad_f.amplitudes, alpha_f.T @ grams.m)
@@ -277,7 +283,7 @@ def test_sign_rule_fallback_on_zero_amplitudes(family):
     fallback_f, fallback_g = _assert_signed_as_reference(result)
     assert len(fallback_f) == 3 and len(fallback_g) == 3
     # without a moment vector, as solve_generalized takes it, every column falls back
-    A, G = result.grams.operator("f"), result.grams.G
+    A, G = result.grams.A_f, result.grams.G
     w, U = np.linalg.eigh(symmetrized(G, "G"))
     Y = U / np.sqrt(w)
     _, B = _reduced_eigh(Y, symmetrized(A, "A"))

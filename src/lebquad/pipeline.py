@@ -73,18 +73,6 @@ def basis_for_samples(samples: SampleSet, size: int,
     return BasisSpec(family, size, DomainMap(lo, hi))
 
 
-def _check_nodes_in_range(name: str, nodes: np.ndarray, values: np.ndarray, w: np.ndarray):
-    """Each node is a generalized Rayleigh quotient, a weighted mean of its
-    process over the samples of positive weight, so it lies in their range;
-    one beyond it by more than rounding (1e-8 of its largest magnitude)
-    means the Gram sums lost their precision, as for subnormal weights."""
-    lo, hi = support_range(values, w)
-    tol = 1e-8 * max(abs(lo), abs(hi))
-    if nodes[0] < lo - tol or nodes[-1] > hi + tol:
-        raise InputDataError(f"{name} nodes fall outside the range of {name}: "
-                             "sample values too small for the Gram sums")
-
-
 def analyze(samples: SampleSet, n: int = DEFAULT_ORDER,
             family: Family | str = Family.CHEBYSHEV,
             *, epsilon: float = DEFAULT_EPSILON) -> AnalysisResult:
@@ -101,8 +89,17 @@ def analyze(samples: SampleSet, n: int = DEFAULT_ORDER,
     quad_g = None
     if grams.has_g:
         quad_g = lebesgue_quadrature_in_f_basis(grams, quad_f)
-    _check_nodes_in_range("f", quad_f.nodes, samples.f, samples.w)
-    if quad_g is not None:
-        _check_nodes_in_range("g", quad_g.nodes, samples.g, samples.w)
+    # A node is a weighted mean of its process over the samples of positive
+    # weight, so it lies in their range up to rounding, amplified by cond(G):
+    # under n eps cond(G) max|value| / 2 on few-valued and smooth laws up to
+    # cond(G) = 1e15. Past 8 times that, the Gram sums lost their precision.
+    rounding = 8 * n * np.finfo(float).eps * quad_f.eigensolution.gram_condition
+    for name, quad, values in (("f", quad_f, samples.f), ("g", quad_g, samples.g)):
+        if quad is not None:
+            lo, hi = support_range(values, samples.w)
+            tol = rounding * max(abs(lo), abs(hi))
+            if quad.nodes[0] < lo - tol or quad.nodes[-1] > hi + tol:
+                raise InputDataError(f"{name} nodes fall outside the range of {name}: "
+                                     "sample values too small for the Gram sums")
     return AnalysisResult(samples=samples, basis=basis, grams=grams,
                           quad_f=quad_f, quad_g=quad_g)

@@ -24,6 +24,7 @@ class EigenSolution:
 
     eigenvalues: np.ndarray  # ascending
     alpha: np.ndarray  # column i is the coefficient vector over Q_k
+    gram_condition: float  # cond(G), by which the whitening amplifies rounding
     # for a solution from lebesgue_quadrature_in_f_basis: the f solution it
     # was solved in, and column i over its eigenfunctions, the projection S
     # between the two eigenbases
@@ -121,7 +122,7 @@ def _signed_reduction(Y: np.ndarray, A: np.ndarray, m: np.ndarray | None):
 
 
 def _solve_pencil(A, G, epsilon: float, m: np.ndarray | None):
-    """solve_generalized's checks and whitening, then the signed reduction."""
+    """solve_generalized's checks and whitening: cond(G), the signed reduction."""
     if not 0 <= epsilon < 1:  # also rejects nan
         raise ConfigurationError(f"epsilon must be in [0, 1), got {epsilon}")
     A = symmetrized(A, "A")
@@ -135,7 +136,7 @@ def _solve_pencil(A, G, epsilon: float, m: np.ndarray | None):
         raise ConditioningError(
             f"Gram matrix rank-deficient for order {n}", effective_rank=rank
         )
-    return _signed_reduction(U / np.sqrt(s), A, m)
+    return float(s[-1]) / float(s[0]), _signed_reduction(U / np.sqrt(s), A, m)
 
 
 def solve_generalized(A: np.ndarray, G: np.ndarray, *,
@@ -147,8 +148,8 @@ def solve_generalized(A: np.ndarray, G: np.ndarray, *,
     dropped. Each eigenvector's first nonzero coefficient is positive.
     ``epsilon`` must lie in [0, 1).
     """
-    lam, alpha, _, _ = _solve_pencil(A, G, epsilon, None)
-    return EigenSolution(eigenvalues=lam, alpha=alpha)
+    cond, (lam, alpha, _, _) = _solve_pencil(A, G, epsilon, None)
+    return EigenSolution(eigenvalues=lam, alpha=alpha, gram_condition=cond)
 
 
 def lebesgue_quadrature(grams: GramSet, A: np.ndarray, *,
@@ -156,9 +157,11 @@ def lebesgue_quadrature(grams: GramSet, A: np.ndarray, *,
     """Lebesgue quadrature of the process of operator A (``grams.A_f`` or
     ``grams.A_g``): nodes, weights, amplitudes. Eigenvectors are signed by
     the moment vector so that amplitudes come out non-negative."""
-    lam, alpha, _, amplitudes = _solve_pencil(A, grams.G, epsilon, grams.m)
+    if A is None:  # grams.A_g of samples without g
+        raise ConfigurationError("samples carried no g column")
+    cond, (lam, alpha, _, amplitudes) = _solve_pencil(A, grams.G, epsilon, grams.m)
     return LebesgueQuadrature(nodes=lam, weights=amplitudes * amplitudes, amplitudes=amplitudes,
-                              eigensolution=EigenSolution(lam, alpha), grams=grams)
+                              eigensolution=EigenSolution(lam, alpha, cond), grams=grams)
 
 
 def lebesgue_quadrature_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> LebesgueQuadrature:
@@ -176,7 +179,7 @@ def lebesgue_quadrature_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -
         )
     lam, alpha_g, S, _ = _signed_reduction(alpha_f, grams.A_g, grams.m)
     amplitudes = S.T @ quad_f.amplitudes
-    sol = EigenSolution(eigenvalues=lam, alpha=alpha_g,
+    sol = EigenSolution(lam, alpha_g, quad_f.eigensolution.gram_condition,
                         f_solution=quad_f.eigensolution, in_f_basis=S)
     return LebesgueQuadrature(nodes=lam, weights=amplitudes * amplitudes,
                               amplitudes=amplitudes, eigensolution=sol, grams=grams)

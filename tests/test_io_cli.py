@@ -478,6 +478,24 @@ def test_cli_zero_f_has_zero_nodes(tmp_path):
     assert json.loads(out.read_text())["quadrature_f"]["nodes"] == [0.0] * 8
 
 
+@pytest.mark.parametrize("f, g, constant", [
+    (lambda x: np.where(x > 0.1, 2.0, -1.0), lambda x: np.full(x.size, 3.0), "g"),
+    (lambda x: np.full(x.size, -5.0), lambda x: x, "f"),
+], ids=["two-valued-f-constant-g", "constant-f"])
+def test_cli_constant_process_at_high_condition_exit_0(tmp_path, f, g, constant):
+    # monomials of order 16 on a grid give cond(G) near 5e10, and every node
+    # of a constant process sits on the edge of its range; rounding moves
+    # them past it by about 1e-6 of the constant, which is no loss of precision
+    x = np.linspace(-1.0, 1.0, 2000)
+    path, out = tmp_path / "in.csv", tmp_path / "out.json"
+    write_samples_csv(str(path), SampleSet(x=x, w=np.ones(x.size), f=f(x), g=g(x)))
+    assert main(["quadrature", "--input", str(path), "--n", "16", "--basis", "monomial",
+                 "--output", str(out)]) == 0
+    nodes = np.array(json.loads(out.read_text())[f"quadrature_{constant}"]["nodes"])
+    value = {"f": -5.0, "g": 3.0}[constant]
+    np.testing.assert_allclose(nodes, value, rtol=1e-4)
+
+
 def test_cli_broken_stdout_exit_2_names_standard_output(monkeypatch, capsys):
     class ClosedPipe(io.StringIO):
         def write(self, text):

@@ -121,6 +121,8 @@ def test_g_in_f_basis_needs_g_column(two_atom):
     result = analyze(SampleSet(x=two_atom.x, w=two_atom.w, f=two_atom.f), n=2, family="monomial")
     with pytest.raises(ConfigurationError, match="no g column"):
         lebesgue_quadrature_in_f_basis(result.grams, result.quad_f)
+    with pytest.raises(ConfigurationError, match="no g column"):
+        lebesgue_quadrature(result.grams, result.grams.A_g)
 
 
 def test_g_affine_of_f():

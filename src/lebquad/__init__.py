@@ -41,7 +41,6 @@ from .spectral import (
     LebesgueQuadrature,
     lebesgue_quadrature,
     lebesgue_quadrature_in_f_basis,
-    solve_generalized,
 )
 
 __version__ = "0.1.0"

@@ -104,10 +104,6 @@ class SampleSet:
     def has_g(self) -> bool:
         return self.g is not None
 
-    def scaled(self, c: float) -> "SampleSet":
-        """Same samples with all measure weights multiplied by c > 0."""
-        return SampleSet(self.x, self.w * c, self.f, self.g)
-
 
 @dataclass(frozen=True)
 class GramSet:
@@ -118,7 +114,6 @@ class GramSet:
 
     G: np.ndarray
     A_f: np.ndarray
-    basis: BasisSpec
     A_g: np.ndarray | None = None
 
     @property
@@ -206,7 +201,7 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
         if values is not None and not M.any() and np.any(
                 (samples.w * values == 0) & (samples.w != 0) & (values != 0)):
             raise InputDataError(f"Gram matrix {name} underflows to zero: sample values too small")
-    return GramSet(G=G, A_f=A_f, basis=basis, A_g=A_g)
+    return GramSet(G=G, A_f=A_f, A_g=A_g)
 
 
 def _mixed_moments(basis: BasisSpec, first: np.ndarray, last: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ def direct_grams(samples, basis, n):
         return (Q * weights) @ Q.T
 
     return GramSet(
-        G=gram(w), A_f=gram(w * samples.f), basis=basis,
+        G=gram(w), A_f=gram(w * samples.f),
         A_g=gram(w * samples.g) if samples.has_g else None,
     )
 

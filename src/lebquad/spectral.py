@@ -20,9 +20,8 @@ _AMPLITUDE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Eigenpairs of A alpha = lambda G alpha with G-orthonormal columns."""
+    """G-orthonormal eigenvectors of A alpha = lambda G alpha, by ascending node."""
 
-    eigenvalues: np.ndarray  # ascending
     alpha: np.ndarray  # column i is the coefficient vector over Q_k
     gram_condition: float  # cond(G), by which the whitening amplifies rounding
     # for a solution from lebesgue_quadrature_in_f_basis: the f solution it
@@ -30,10 +29,6 @@ class EigenSolution:
     # between the two eigenbases
     f_solution: EigenSolution | None = None
     in_f_basis: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.alpha.shape[1]
 
 
 @dataclass(frozen=True)
@@ -52,7 +47,7 @@ class LebesgueQuadrature:
 
     @property
     def n(self) -> int:
-        return self.eigensolution.n
+        return len(self.nodes)
 
 
 def _halved_sum(M: np.ndarray) -> np.ndarray:
@@ -99,69 +94,54 @@ def _reduced_eigh(Y: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     raise InputDataError("operator overflows in the Gram eigenbasis: sample values too large")
 
 
-def _signed_reduction(Y: np.ndarray, A: np.ndarray, m: np.ndarray | None):
+def _signed_reduction(Y: np.ndarray, A: np.ndarray, m: np.ndarray):
     """Eigenpairs of A in the G-orthonormal basis Y: (eigenvalues, alpha = Y B,
-    B, amplitudes alpha^T m or None without m), each column signed so that its
-    amplitude is non-negative. A column of (numerically) zero amplitude, and
-    every column without m, makes its first nonzero coefficient positive.
+    B, amplitudes alpha^T m), each column signed so that its amplitude is
+    non-negative. A column of (numerically) zero amplitude makes its first
+    nonzero coefficient positive.
     """
     lam, B = _reduced_eigh(Y, A)
     alpha = Y @ B
     nonzero = np.abs(alpha) > _AMPLITUDE_TOL * np.maximum(np.abs(alpha).max(axis=0), 1.0)
     first = alpha[nonzero.argmax(axis=0), np.arange(alpha.shape[1])]
     signs = np.where(nonzero.any(axis=0) & (first < 0), -1.0, 1.0)
-    amplitudes = None
-    if m is not None:
-        amplitudes = alpha.T @ m
-        tol = _AMPLITUDE_TOL * np.sqrt(m[0])
-        signs = np.where(np.abs(amplitudes) > tol, np.sign(amplitudes), signs)
-        amplitudes *= signs
+    amplitudes = alpha.T @ m
+    tol = _AMPLITUDE_TOL * np.sqrt(m[0])
+    signs = np.where(np.abs(amplitudes) > tol, np.sign(amplitudes), signs)
+    amplitudes *= signs
     alpha *= signs
     B *= signs
     return lam, alpha, B, amplitudes
 
 
-def _solve_pencil(A, G, epsilon: float, m: np.ndarray | None):
-    """solve_generalized's checks and whitening: cond(G), the signed reduction."""
+def lebesgue_quadrature(grams: GramSet, A: np.ndarray, *,
+                        epsilon: float = DEFAULT_EPSILON) -> LebesgueQuadrature:
+    """Lebesgue quadrature of the process of operator A, which must be
+    ``grams.A_f`` or ``grams.A_g``: nodes, weights, amplitudes. G is
+    eigendecomposed; an eigenvalue at or below epsilon * lambda_max(G) makes
+    the pencil rank-deficient (ConditioningError), and no direction is
+    dropped. ``epsilon`` must lie in [0, 1). Eigenvectors are signed by the
+    moment vector so that amplitudes come out non-negative."""
+    if A is None:  # grams.A_g of samples without g
+        raise ConfigurationError("samples carried no g column")
+    if not (A is grams.A_f or A is grams.A_g):
+        raise ConfigurationError("A must be grams.A_f or grams.A_g")
     if not 0 <= epsilon < 1:  # also rejects nan
         raise ConfigurationError(f"epsilon must be in [0, 1), got {epsilon}")
     A = symmetrized(A, "A")
-    G = symmetrized(G, "G")
+    G = symmetrized(grams.G, "G")
     if A.shape != G.shape:
         raise InputDataError(f"shape mismatch: A {A.shape} vs G {G.shape}")
-    n = A.shape[0]
     s, U = np.linalg.eigh(G)
     rank = int(np.count_nonzero(s > epsilon * s[-1]))
-    if rank < n:
+    if rank < grams.n:
         raise ConditioningError(
-            f"Gram matrix rank-deficient for order {n}", effective_rank=rank
+            f"Gram matrix rank-deficient for order {grams.n}", effective_rank=rank
         )
-    return float(s[-1]) / float(s[0]), _signed_reduction(U / np.sqrt(s), A, m)
-
-
-def solve_generalized(A: np.ndarray, G: np.ndarray, *,
-                      epsilon: float = DEFAULT_EPSILON) -> EigenSolution:
-    """Solve A alpha = lambda G alpha for a symmetric pencil with PSD G.
-
-    G is eigendecomposed; an eigenvalue at or below epsilon * lambda_max(G)
-    makes the pencil rank-deficient (ConditioningError), and no direction is
-    dropped. Each eigenvector's first nonzero coefficient is positive.
-    ``epsilon`` must lie in [0, 1).
-    """
-    cond, (lam, alpha, _, _) = _solve_pencil(A, G, epsilon, None)
-    return EigenSolution(eigenvalues=lam, alpha=alpha, gram_condition=cond)
-
-
-def lebesgue_quadrature(grams: GramSet, A: np.ndarray, *,
-                        epsilon: float = DEFAULT_EPSILON) -> LebesgueQuadrature:
-    """Lebesgue quadrature of the process of operator A (``grams.A_f`` or
-    ``grams.A_g``): nodes, weights, amplitudes. Eigenvectors are signed by
-    the moment vector so that amplitudes come out non-negative."""
-    if A is None:  # grams.A_g of samples without g
-        raise ConfigurationError("samples carried no g column")
-    cond, (lam, alpha, _, amplitudes) = _solve_pencil(A, grams.G, epsilon, grams.m)
+    lam, alpha, _, amplitudes = _signed_reduction(U / np.sqrt(s), A, grams.m)
     return LebesgueQuadrature(nodes=lam, weights=amplitudes * amplitudes, amplitudes=amplitudes,
-                              eigensolution=EigenSolution(lam, alpha, cond), grams=grams)
+                              eigensolution=EigenSolution(alpha, float(s[-1]) / float(s[0])),
+                              grams=grams)
 
 
 def lebesgue_quadrature_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> LebesgueQuadrature:
@@ -179,7 +159,7 @@ def lebesgue_quadrature_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -
         )
     lam, alpha_g, S, _ = _signed_reduction(alpha_f, grams.A_g, grams.m)
     amplitudes = S.T @ quad_f.amplitudes
-    sol = EigenSolution(lam, alpha_g, quad_f.eigensolution.gram_condition,
+    sol = EigenSolution(alpha_g, quad_f.eigensolution.gram_condition,
                         f_solution=quad_f.eigensolution, in_f_basis=S)
     return LebesgueQuadrature(nodes=lam, weights=amplitudes * amplitudes,
                               amplitudes=amplitudes, eigensolution=sol, grams=grams)

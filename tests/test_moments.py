@@ -149,7 +149,7 @@ def test_weight_scaling_by_powers_of_two_is_bit_exact(log2c, seed):
     s = SampleSet(x=x, w=rng.uniform(0.5, 1.5, 20), f=rng.standard_normal(20))
     b = monomial(3)
     g1 = accumulate_grams(s, b, 3)
-    g2 = accumulate_grams(s.scaled(c), b, 3)
+    g2 = accumulate_grams(SampleSet(s.x, s.w * c, s.f, s.g), b, 3)
     np.testing.assert_array_equal(g2.G, c * g1.G)
     np.testing.assert_array_equal(g2.A_f, c * g1.A_f)
     np.testing.assert_array_equal(g2.m, c * g1.m)
@@ -164,7 +164,7 @@ def test_weight_scaling_general_factor(c, seed):
     s = SampleSet(x=x, w=rng.uniform(0.5, 1.5, 20), f=rng.standard_normal(20))
     b = monomial(3)
     g1 = accumulate_grams(s, b, 3)
-    g2 = accumulate_grams(s.scaled(c), b, 3)
+    g2 = accumulate_grams(SampleSet(s.x, s.w * c, s.f, s.g), b, 3)
     # Norm-wise, against the sum of absolute terms (for G its largest
     # entry): an entry that is a cancelling sum carries an elementwise
     # relative error far above the rounding of its terms.

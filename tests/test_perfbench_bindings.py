@@ -91,6 +91,8 @@ def test_benchmark_joint_path_passes_its_own_checks(monkeypatch):
     samples = datagen.generate(replace(datagen.load_scenario("smooth"), M=2000))
     res = workloads.analyze_joint(samples, 8, "chebyshev", serialize=True)
     assert workloads.identity_failures(res.outputs()) == []
+    # measure.py compares each op's digest with the warm-up's
+    assert workloads.analyze_joint(samples, 8, "chebyshev", serialize=True).digest() == res.digest()
     cli_csv = workloads.CliCsv(seed=1, smoke=True)
     cli_csv.ref_nodes = (res.result.quad_f.nodes, res.result.quad_g.nodes)
     assert cli_csv.check(workloads.CliResult(0, res.text.encode(), b"", 0)) == []

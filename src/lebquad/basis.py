@@ -37,9 +37,13 @@ class DomainMap:
                 f"domain requires x_min < x_max, got [{self.x_min}, {self.x_max}]"
             )
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return (2.0 * x - self.x_min - self.x_max) / (self.x_max - self.x_min)
+    def __call__(self, x, out=None):
+        """t at x, written into ``out`` (a float array of x's shape) if given."""
+        t = np.multiply(np.asarray(x, dtype=float), 2.0, out=out)
+        t -= self.x_min
+        t -= self.x_max
+        t /= self.x_max - self.x_min
+        return t
 
 
 def support_range(x, w) -> tuple[float, float]:
@@ -107,35 +111,44 @@ def _recurrence_steps(family: Family, size: int) -> tuple[float, tuple[tuple[flo
     return fold, tuple(zip(scales, lags))
 
 
-def evaluate_all(spec: BasisSpec, x) -> np.ndarray:
+def evaluate_all(spec: BasisSpec, x, out=None) -> np.ndarray:
     """Evaluate all basis functions at x via the three-term recurrence.
 
     x may be a scalar or a 1-d array; the result has shape (size,) or
-    (size, len(x)).
+    (size, len(x)). If given, ``out`` is a float array of that shape, which
+    receives the result and is returned; its rows may have any stride.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise InputDataError("evaluation points must be finite")
-    t = spec.domain(x)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    # Q_{k+1} = (t Q_k) / a_k - (c_k / a_k) Q_{k-1}, written in place; the
+    shape = (spec.size,) + x.shape
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    Q = out[:, np.newaxis] if x.ndim == 0 else out
+    Q[0] = 1.0
+    if spec.size == 1:
+        return out
+    # Q_1 = t for every family (a_0 = 1, c_0 = 0): the domain map writes row
+    # 1. Then Q_{k+1} = (t Q_k) / a_k - (c_k / a_k) Q_{k-1}, in place; the
     # unit and zero factors are skipped and a shared power-of-two scale is
     # folded into t once, so a Chebyshev row takes 2 passes, a monomial 1.
+    # One scratch row holds the folded t, or each Legendre row's lag term.
+    t = spec.domain(x, out=Q[1])
     fold, steps = _recurrence_steps(spec.family, spec.size)
-    folded = t * fold if fold != 1.0 else t
-    out = np.empty((spec.size, t.size))
-    out[0] = 1.0
-    for k, (scale, lag) in enumerate(steps):
-        nxt = out[k + 1]
+    scratch = np.empty_like(t) if spec.size > 2 else None
+    folded = np.multiply(t, fold, out=scratch) if fold != 1.0 else t
+    for k, (scale, lag) in enumerate(steps[1:], start=1):
+        nxt = Q[k + 1]
         if scale == fold:
-            np.multiply(folded, out[k], out=nxt)
+            np.multiply(folded, Q[k], out=nxt)
         else:
-            np.multiply(t, out[k], out=nxt)
+            np.multiply(t, Q[k], out=nxt)
             if scale != 1.0:
                 nxt *= scale
         if lag == 1.0:
-            nxt -= out[k - 1]
+            nxt -= Q[k - 1]
         elif lag != 0.0:
-            nxt -= lag * out[k - 1]
-    return out[:, 0] if scalar else out
+            nxt -= np.multiply(lag, Q[k - 1], out=scratch)
+    return out

@@ -8,7 +8,10 @@ each Gram's first row and last column (O(M n) time, O(chunk n) memory);
 the recurrence fills the rest from those alone (:func:`_mixed_moments`,
 O(n^2)). A chunk's working set, its block of basis rows plus the operand
 they are reduced against, is kept to about 1 MiB, so that it stays in L2
-cache, but a chunk holds at least 4096 samples (see _CHUNK_ELEMENTS).
+cache, but a chunk holds at least 4096 samples (see _CHUNK_ELEMENTS). Every
+chunk is evaluated into one workspace, allocated once per call, whose rows
+each start on a cache line, so that the pass does not run at whatever speed
+the heap's layout gives it (see _LINE).
 """
 from __future__ import annotations
 
@@ -30,12 +33,23 @@ from .errors import ConditioningError, ConfigurationError, InputDataError
 # numpy calls, whose fixed cost shorter rows would not amortize (at n = 1000
 # the 131-sample chunks of a 1 MiB block made the moment pass 3-4x slower).
 # The floor decides from n + 2 measures >= 32 on (n >= 26 with g), and from
-# n >= _CHUNK_SAMPLES on the block is at most one n x n array. Each block is
-# reduced to each Gram's first row and last column and released before the
-# next one is evaluated; the recurrence fills the rest. This bounds the
-# memory of moment accumulation independently of M.
+# n >= _CHUNK_SAMPLES on the block is at most one n x n array. Each chunk's
+# block is reduced to each Gram's first row and last column, then overwritten
+# by the next chunk's; the recurrence fills the rest. This bounds the memory
+# of moment accumulation independently of M.
 _CHUNK_ELEMENTS = 1 << 17
 _CHUNK_SAMPLES = 4096
+
+# The block and the operand are one workspace, allocated once per call and
+# reused by every chunk, and each of their rows starts on a _LINE-byte cache
+# line. The loop stores whole rows, and rows off a line made it slower: at
+# M = 1e6 (spikes laws, layouts interleaved in one process, 2-vCPU Xeon),
+# rows 16, 32 or 48 bytes past a line took 1.3-1.45x as long at n = 8, 32 and
+# 64 (Chebyshev) and at n = 32 (Legendre). An array from malloc is only 16-byte
+# aligned, at whatever offset the heap's layout gives it. Rows 4 KiB apart,
+# or staggered 1 KiB apart modulo 4 KiB, measured the same as rows on lines,
+# and so did every offset of the recurrence's one scratch row.
+_LINE = 64
 
 # n x n float64 arrays alive at once at an order-n run's peak: the three Grams,
 # their assembly, the eigensolvers' arrays, the joint estimates and the writer's
@@ -152,9 +166,10 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
     _CHUNK_ELEMENTS // (n + 2 measures)) samples, measures being 3 with a
     g column and 2 without: each chunk's block of basis rows
     Q_0 .. Q_{n-1} is reduced with one small matmul against the columns
-    [w, w f, w g] and the same columns times Q_{n-1}, written in place into
-    one operand allocated once. That gives each Gram's first row and last
-    column; :func:`_mixed_moments` fills in the rest.
+    [w, w f, w g] and the same columns times Q_{n-1}. Block and operand are
+    written in place into one workspace (:func:`_workspace`), freed before
+    :func:`_mixed_moments` fills in the rest from each Gram's first row and
+    last column. Zero-weight samples are evaluated at the domain's midpoint.
     """
     if n < 1:
         raise ConfigurationError(f"order must be >= 1, got {n}")
@@ -176,20 +191,28 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
     measures = 3 if samples.has_g else 2
     chunk = min(max(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // (n + 2 * measures)), samples.size)
     columns = [samples.f] + ([samples.g] if samples.has_g else [])
-    operand = np.empty((2 * measures, chunk))  # rows: w, w f, w g, then each times Q_{n-1}
+    # Zero-weight samples add 0 to every sum wherever they are evaluated, but
+    # far outside the domain Q_k overflows and 0 inf is NaN: they are
+    # evaluated at the domain's midpoint, where every |Q_k| <= 1.
+    midpoint = 0.5 * basis.domain.x_min + 0.5 * basis.domain.x_max
+    # operand rows: w, w f, w g, then each times Q_{n-1}
+    block, operand = _workspace(n, measures, chunk)
     acc = np.zeros((n, 2 * measures))  # columns: first rows, then last columns
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         for start in range(0, samples.size, chunk):
             part = slice(start, start + chunk)
-            w = samples.w[part]
+            w, x = samples.w[part], samples.x[part]
+            if support < samples.size:
+                x = np.where(w > 0, x, midpoint)
             op = operand[:, :w.size]
             op[0] = w
             for row, column in enumerate(columns, start=1):
                 np.multiply(w, column[part], out=op[row])
-            Q = evaluate_all(rows, samples.x[part])
-            np.multiply(op[:measures], Q[-1], out=op[measures:])
+            Q = evaluate_all(rows, x, block[:, :w.size])
+            for row in range(measures):  # row by row: a broadcast may allocate a ufunc buffer
+                np.multiply(op[row], Q[-1], out=op[measures + row])
             acc += Q @ op.T
-            del Q  # the next chunk's block is allocated only after this one is freed
+        del block, operand, op, Q  # the workspace is freed before the n x n assembly
         G, A_f, *A_g = _mixed_moments(basis, acc[:, :measures].T, acc[:, measures:].T)
     A_g = A_g[0] if A_g else None
     for name, M, values in (("G", G, None), ("A_f", A_f, samples.f), ("A_g", A_g, samples.g)):
@@ -202,6 +225,16 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
                 (samples.w * values == 0) & (samples.w != 0) & (values != 0)):
             raise InputDataError(f"Gram matrix {name} underflows to zero: sample values too small")
     return GramSet(G=G, A_f=A_f, A_g=A_g)
+
+
+def _workspace(n: int, measures: int, chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's (n, chunk) block of basis rows and its (2 measures, chunk)
+    operand: views into one buffer, each row starting on a _LINE-byte line."""
+    stride = 8 * chunk + (-8 * chunk) % _LINE
+    raw = np.empty(_LINE + (n + 2 * measures) * stride, dtype=np.uint8)
+    rows = np.ndarray((n + 2 * measures, chunk), buffer=raw,
+                      offset=-raw.ctypes.data % _LINE, strides=(stride, 8))
+    return rows[:n], rows[n:]
 
 
 def _mixed_moments(basis: BasisSpec, first: np.ndarray, last: np.ndarray) -> np.ndarray:

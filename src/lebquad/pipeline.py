@@ -97,8 +97,10 @@ def analyze(samples: SampleSet, n: int = DEFAULT_ORDER,
     for name, quad, values in (("f", quad_f, samples.f), ("g", quad_g, samples.g)):
         if quad is not None:
             lo, hi = support_range(values, samples.w)
-            tol = rounding * max(abs(lo), abs(hi))
-            if quad.nodes[0] < lo - tol or quad.nodes[-1] > hi + tol:
+            with np.errstate(over="ignore"):  # a bound past the float range rejects nothing
+                tol = rounding * max(abs(lo), abs(hi))
+                outside = quad.nodes[0] < lo - tol or quad.nodes[-1] > hi + tol
+            if outside:
                 raise InputDataError(f"{name} nodes fall outside the range of {name}: "
                                      "sample values too small for the Gram sums")
     return AnalysisResult(samples=samples, basis=basis, grams=grams,

@@ -95,6 +95,24 @@ def test_recurrence_rows_equal_plain_three_term_recurrence(family, step):
     np.testing.assert_array_equal(evaluate_all(b, x), np.array(Q))
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("size", [1, 2, 3, 12])
+def test_evaluate_into_out_equals_evaluate(family, size):
+    # out may be a strided view, as the moment pass's workspace rows are
+    b = spec(family, size, lo=-2.0, hi=5.0)
+    x = np.append(np.random.default_rng(4).uniform(-3.0, 6.0, 99), [-2.0, 5.0])
+    buffer = np.full((size, 2 * x.size), np.nan)
+    out = buffer[:, 1::2]
+    assert evaluate_all(b, x, out) is out
+    np.testing.assert_array_equal(out, evaluate_all(b, x))
+    assert np.isnan(buffer[:, ::2]).all()
+    scalar = np.empty(size)
+    assert evaluate_all(b, 1.3, scalar) is scalar
+    np.testing.assert_array_equal(scalar, evaluate_all(b, 1.3))
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_all(b, x, np.empty((size + 1, x.size)))
+
+
 def test_zero_weight_sample_does_not_move_the_domain(scenario_samples):
     base = scenario_samples["clustered"]
     lo, hi = base.x.min(), base.x.max()

@@ -447,7 +447,9 @@ def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     (b"x,w,f,g\n-1,4e307,0.01,0\n0,4e307,0.02,0.01\n1,4e307,0.03,0\n", ["joint", "--n", "2"],
      0.02 + 0.01 * math.sqrt(2 / 3) * np.array([-1.0, 1.0])),
     (b"x,f\n0,1.7e308\n1,0\n", ["quadrature", "--n", "1"], [8.5e307]),
-], ids=["gram-near-float-max", "operator-overflow"])
+    # the node-range bound past the float range: inf, not an overflow warning
+    (b"x,f,g\n0.0,0.0,1.7976931348623127e+308\n", ["quadrature", "--n", "1"], [0.0]),
+], ids=["gram-near-float-max", "operator-overflow", "process-at-float-max"])
 def test_cli_finite_grams_near_float_max_solve(tmp_path, csv, args, nodes):
     # symmetrizing such a Gram as 0.5 (G + G^T) would overflow to inf
     path, out = tmp_path / "in.csv", tmp_path / "out.json"

@@ -16,6 +16,7 @@ from lebquad import (
     InputDataError,
     SampleSet,
     accumulate_grams,
+    analyze,
 )
 
 
@@ -213,9 +214,9 @@ def test_gram_route_evaluates_n_basis_rows(monkeypatch, scenario_samples):
     sizes = []
     evaluate = moments.evaluate_all
 
-    def recorded(spec, x):
+    def recorded(spec, x, out):
         sizes.append(spec.size)
-        return evaluate(spec, x)
+        return evaluate(spec, x, out)
 
     monkeypatch.setattr(moments, "evaluate_all", recorded)
     samples = scenario_samples["smooth"]
@@ -232,10 +233,10 @@ def test_moment_blocks_fit_the_budget_or_sit_at_the_floor(monkeypatch, n):
     lengths = []
     evaluate = moments.evaluate_all
 
-    def recorded(spec, x):
+    def recorded(spec, x, out):
         assert spec.size == n
         lengths.append(x.size)
-        return evaluate(spec, x)
+        return evaluate(spec, x, out)
 
     monkeypatch.setattr(moments, "evaluate_all", recorded)
     M = 40_000
@@ -254,7 +255,7 @@ def test_moment_blocks_fit_the_budget_or_sit_at_the_floor(monkeypatch, n):
 
 
 def test_moment_pass_memory_is_one_cache_sized_block():
-    M, n = 200_000, 32
+    M, n, measures = 200_000, 32, 3
     rng = np.random.default_rng(2)
     x = rng.uniform(-1.0, 1.0, M)
     s = SampleSet(x=x, w=rng.uniform(0.5, 1.5, M), f=np.sin(x), g=np.cos(x))
@@ -265,7 +266,53 @@ def test_moment_pass_memory_is_one_cache_sized_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+    # the block, the operand and the recurrence's one scratch row: a second
+    # block, or numpy's 64 KiB ufunc buffer, would not fit in the slack
+    row = 8 * moments._CHUNK_SAMPLES
+    assert peak < (n + 2 * measures + 1) * row + 16 * 2**10
+
+
+@pytest.mark.parametrize("n, g", [(1, None), (8, "g"), (32, "g"), (64, None)])
+def test_workspace_rows_start_on_cache_lines(monkeypatch, n, g):
+    # one workspace per call: every chunk is evaluated into its block, and
+    # each block and operand row begins a cache line
+    workspaces, blocks = [], []
+    workspace, evaluate = moments._workspace, moments.evaluate_all
+
+    def recorded_workspace(*args):
+        workspaces.append(workspace(*args))
+        return workspaces[-1]
+
+    def recorded(spec, x, out):
+        blocks.append(out)
+        return evaluate(spec, x, out)
+
+    monkeypatch.setattr(moments, "_workspace", recorded_workspace)
+    monkeypatch.setattr(moments, "evaluate_all", recorded)
+    M = 60_011  # the last chunk is shorter
+    x = np.linspace(-1.0, 1.0, M)
+    accumulate_grams(SampleSet(x=x, w=np.ones(M), f=x, g=None if g is None else x * x),
+                     BasisSpec(Family.LEGENDRE, n, DomainMap(-1, 1)), n)
+    [(block, operand)] = workspaces
+    assert block.shape[0] == n and operand.shape[0] == (6 if g else 4)
+    assert len(blocks) > 1
+    assert all(out.ctypes.data == block.ctypes.data for out in blocks)
+    for row in (*block, *operand):
+        assert row.ctypes.data % moments._LINE == 0
+
+
+def test_zero_weight_sample_far_outside_the_support_changes_nothing():
+    # Q_k at x = 1e10 overflows at n = 40, and 0 inf would be NaN in the sums
+    x = np.linspace(-1.0, 1.0, 64)
+    far = np.append(x, 1e10)
+    s1 = SampleSet(x=x, w=np.ones(64), f=np.cos(3 * x), g=np.sin(x))
+    s2 = SampleSet(x=far, w=np.append(np.ones(64), 0.0), f=np.cos(3 * far), g=np.sin(far))
+    for family in (Family.CHEBYSHEV, Family.LEGENDRE):
+        r1, r2 = analyze(s1, 40, family), analyze(s2, 40, family)
+        for a, b in ((r1.quad_f.nodes, r2.quad_f.nodes), (r1.quad_f.weights, r2.quad_f.weights),
+                     (r1.quad_g.nodes, r2.quad_g.nodes), (r1.quad_g.weights, r2.quad_g.weights),
+                     (r1.projection(), r2.projection())):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_order_above_positive_weight_count_rejected_before_evaluation(monkeypatch):

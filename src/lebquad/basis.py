@@ -119,7 +119,7 @@ def evaluate_all(spec: BasisSpec, x, out=None) -> np.ndarray:
     receives the result and is returned; its rows may have any stride.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():  # the method: np.all adds ~4 us a call
         raise InputDataError("evaluation points must be finite")
     shape = (spec.size,) + x.shape
     if out is None:

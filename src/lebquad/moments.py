@@ -2,41 +2,45 @@
 
 Every Gram and operator matrix <Q_j Q_k>, <Q_j f Q_k>, <Q_j g Q_k> of order
 n follows, by the basis recurrence, from its first row <Q_k> and its last
-column <Q_{n-1} Q_k>. :func:`accumulate_grams`, the one Gram route, reads
-the samples once, in chunks, evaluating n basis rows and reducing them to
-each Gram's first row and last column (O(M n) time, O(chunk n) memory);
-the recurrence fills the rest from those alone (:func:`_mixed_moments`,
-O(n^2)). A chunk's working set, its block of basis rows plus the operand
-they are reduced against, is kept to about 1 MiB, so that it stays in L2
-cache, but a chunk holds at least 4096 samples (see _CHUNK_ELEMENTS). Every
-chunk is evaluated into one workspace, allocated once per call, whose rows
-each start on a cache line, so that the pass does not run at whatever speed
-the heap's layout gives it (see _LINE).
+column <Q_{n-1} Q_k>, and those follow from the 2n - 1 Chebyshev moments
+<T_j>, <f T_j>, <g T_j>, j <= 2n - 2, whatever the family, since
+T_a T_b = (T_{a+b} + T_{|a-b|}) / 2. :func:`accumulate_grams`, the one Gram
+route, reads the samples once, in chunks, reducing them to those moments
+with a two-level product (:func:`_chebyshev_moments`): about 2n / P + 1
+Chebyshev rows times P multiplier rows, P about sqrt(n), in place of n
+basis rows (O(M n) time, O(chunk sqrt(n)) memory). A connection matrix
+takes the moments to each Gram's first row and last column in the
+requested family, and the recurrence fills the rest from those alone
+(:func:`_mixed_moments`, O(n^2)). A chunk's working set, its rows plus the
+operand they are reduced against, is kept to about 1 MiB, so that it stays
+in L2 cache, but a chunk holds at least 4096 samples (see _CHUNK_ELEMENTS).
+Every chunk is evaluated into one workspace, allocated once per call, whose
+rows each start on a cache line, so that the pass does not run at whatever
+speed the heap's layout gives it (see _LINE).
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, evaluate_all, recurrence_coefficients
+from .basis import BasisSpec, DomainMap, Family, evaluate_all, recurrence_coefficients
 from .errors import ConditioningError, ConfigurationError, InputDataError
 
-# A chunk's working set, its block of n basis rows plus the (2 measures,
-# chunk) operand they are reduced against, holds about _CHUNK_ELEMENTS
-# doubles (1 MiB), so that it stays in a core's L2 cache (2 MiB on the Xeon
-# it was tuned on) while the reduction matmul reads it; at n = 32, 4 MiB
-# blocks made that matmul about 1.6x slower. But a chunk never holds fewer
-# than _CHUNK_SAMPLES samples: each of the n rows of the recurrence is a few
-# numpy calls, whose fixed cost shorter rows would not amortize (at n = 1000
-# the 131-sample chunks of a 1 MiB block made the moment pass 3-4x slower).
-# The floor decides from n + 2 measures >= 32 on (n >= 26 with g), and from
-# n >= _CHUNK_SAMPLES on the block is at most one n x n array. Each chunk's
-# block is reduced to each Gram's first row and last column, then overwritten
-# by the next chunk's; the recurrence fills the rest. This bounds the memory
-# of moment accumulation independently of M.
+# A chunk's working set, its rows (the block of Chebyshev rows, the
+# multiplier rows and the (P measures, chunk) operand they are reduced
+# against), holds about _CHUNK_ELEMENTS doubles (1 MiB), so that it stays in
+# a core's L2 cache (2 MiB on the Xeon it was tuned on) while the reduction
+# matmul reads it; at n = 32, 4 MiB blocks made that matmul about 1.6x
+# slower. But a chunk never holds fewer than _CHUNK_SAMPLES samples: each
+# row is a few numpy calls, whose fixed cost shorter rows would not amortize
+# (at n = 1000 the 131-sample chunks of a 1 MiB block made the moment pass
+# 3-4x slower). The floor decides from 32 rows on (n >= 32 with g). Each
+# chunk's rows are reduced to the Chebyshev moments, then overwritten by the
+# next chunk's. This bounds the memory of moment accumulation independently
+# of M.
 _CHUNK_ELEMENTS = 1 << 17
 _CHUNK_SAMPLES = 4096
 
@@ -53,7 +57,7 @@ _LINE = 64
 
 # n x n float64 arrays alive at once at an order-n run's peak: the three Grams,
 # their assembly, the eigensolvers' arrays, the joint estimates and the writer's
-# rows, plus one block of basis rows from n = _CHUNK_SAMPLES on (128 MiB below).
+# rows; the moment pass's workspace is freed before the Grams are assembled.
 # `lebquad joint`, all four kinds, JSON or CSV (smooth laws, M = 4e4), peaked at
 # 12.9-13.0 of them above its RSS before analyze at n = 1000 and 12.5-12.6 at 1500.
 _SQUARE_ARRAYS = 16
@@ -162,14 +166,14 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
     physical memory. Finite samples whose sums overflow to inf or NaN raise
     InputDataError, as does an f or g operator that underflows to zero.
 
-    The samples are streamed in chunks of max(_CHUNK_SAMPLES,
-    _CHUNK_ELEMENTS // (n + 2 measures)) samples, measures being 3 with a
-    g column and 2 without: each chunk's block of basis rows
-    Q_0 .. Q_{n-1} is reduced with one small matmul against the columns
-    [w, w f, w g] and the same columns times Q_{n-1}. Block and operand are
-    written in place into one workspace (:func:`_workspace`), freed before
-    :func:`_mixed_moments` fills in the rest from each Gram's first row and
-    last column. Zero-weight samples are evaluated at the domain's midpoint.
+    The samples are reduced to the Chebyshev moments m_j = sum u T_j(t),
+    j = 0 .. 2n-2, of each measure u in [w, w f, w g], whatever the family
+    (:func:`_chebyshev_moments`, whose workspace is freed on return). With
+    Q_k = sum_j C[k, j] T_j (:func:`_chebyshev_coefficients`; C is I for
+    Chebyshev), each Gram's first row is C m[:n] and its last column
+    C (H C[n-1]), H[a, b] = m_{a+b} / 2 + m_{|a-b|} / 2
+    (:func:`_first_rows_and_last_columns`); :func:`_mixed_moments` fills in
+    the rest from those two.
     """
     if n < 1:
         raise ConfigurationError(f"order must be >= 1, got {n}")
@@ -187,33 +191,10 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
             f"n x n arrays, more than the {physical_memory() / 2**30:.3g} GiB of "
             f"physical memory"
         )
-    rows = replace(basis, size=n)
-    measures = 3 if samples.has_g else 2
-    chunk = min(max(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // (n + 2 * measures)), samples.size)
-    columns = [samples.f] + ([samples.g] if samples.has_g else [])
-    # Zero-weight samples add 0 to every sum wherever they are evaluated, but
-    # far outside the domain Q_k overflows and 0 inf is NaN: they are
-    # evaluated at the domain's midpoint, where every |Q_k| <= 1.
-    midpoint = 0.5 * basis.domain.x_min + 0.5 * basis.domain.x_max
-    # operand rows: w, w f, w g, then each times Q_{n-1}
-    block, operand = _workspace(n, measures, chunk)
-    acc = np.zeros((n, 2 * measures))  # columns: first rows, then last columns
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        for start in range(0, samples.size, chunk):
-            part = slice(start, start + chunk)
-            w, x = samples.w[part], samples.x[part]
-            if support < samples.size:
-                x = np.where(w > 0, x, midpoint)
-            op = operand[:, :w.size]
-            op[0] = w
-            for row, column in enumerate(columns, start=1):
-                np.multiply(w, column[part], out=op[row])
-            Q = evaluate_all(rows, x, block[:, :w.size])
-            for row in range(measures):  # row by row: a broadcast may allocate a ufunc buffer
-                np.multiply(op[row], Q[-1], out=op[measures + row])
-            acc += Q @ op.T
-        del block, operand, op, Q  # the workspace is freed before the n x n assembly
-        G, A_f, *A_g = _mixed_moments(basis, acc[:, :measures].T, acc[:, measures:].T)
+        m = _chebyshev_moments(samples, basis.domain, n, support < samples.size)
+        first, last = _first_rows_and_last_columns(m[:, :2 * n - 1], basis.family)
+        G, A_f, *A_g = _mixed_moments(basis, first, last)
     A_g = A_g[0] if A_g else None
     for name, M, values in (("G", G, None), ("A_f", A_f, samples.f), ("A_g", A_g, samples.g)):
         if M is not None and not np.isfinite(M).all():
@@ -227,14 +208,132 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
     return GramSet(G=G, A_f=A_f, A_g=A_g)
 
 
-def _workspace(n: int, measures: int, chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """A chunk's (n, chunk) block of basis rows and its (2 measures, chunk)
-    operand: views into one buffer, each row starting on a _LINE-byte line."""
+def _split(n: int) -> tuple[int, int]:
+    """(h, P) of the two-level product: the rows T_0 .. T_h times the P
+    multipliers T_{ph}, p < P, give the moments up to m_{hP}, hP >= 2n - 2.
+
+    P is the largest power of two <= sqrt(n), and h = ceil((2n - 2) / P).
+    A chunk then costs about 2h + 5P row passes with g (2 per Chebyshev row,
+    2 per multiplier row, and one product per operand row). Measured against
+    P in {1, 2, 4, 8} (spikes laws, M = 1e6, interleaved in one process,
+    2-vCPU Xeon), the rule picked the fastest, or one within 7% of it, at
+    every n in {2, 3, 4, 8, 12, 16, 24, 32, 48, 64, 96, 128}; at n = 1000
+    (smooth laws, M = 4e4) P = 16 and 32 measured the same and 4 1.3x slower.
+    """
+    P = 1 << (n.bit_length() - 1) // 2
+    return -(-(2 * n - 2) // P), P
+
+
+def _chebyshev_moments(samples: SampleSet, domain: DomainMap, n: int,
+                       zero_weights: bool) -> np.ndarray:
+    """m[u, j] = sum_l u_l T_j(t_l), j = 0 .. hP (:func:`_split`), for the
+    measures u in [w, w f, w g].
+
+    Each chunk evaluates the Chebyshev rows T_0 .. T_h with
+    :func:`evaluate_all` and the multipliers T_{ph} = T_p(T_h), p < P, with
+    the recurrence T_{(p+1)h} = 2 T_h T_{ph} - T_{(p-1)h}; one matmul reduces
+    the rows against the operand rows u T_{ph}, adding
+    S[k, p, u] = sum u T_k T_{ph} = (m_{ph+k} + m_{|ph-k|}) / 2 over the
+    chunks. Then m_k = S[k, 0], k <= h, and block by block in p,
+    m_{ph+k} = 2 (S[k, p] - m_{ph-k} / 2), k = 1 .. h: halving first keeps it
+    finite wherever the moments are. With ``zero_weights``, samples of zero
+    weight are evaluated at the domain's midpoint.
+    """
+    h, P = _split(n)
+    rows = BasisSpec(Family.CHEBYSHEV, h + 1, domain)
+    measures = 3 if samples.has_g else 2
+    block, multipliers, operand = _workspace(h, P, measures, samples.size)
+    chunk = block.shape[1]
+    columns = [samples.f] + ([samples.g] if samples.has_g else [])
+    # Zero-weight samples add 0 to every sum wherever they are evaluated, but
+    # far outside the domain T_k overflows and 0 inf is NaN: they are
+    # evaluated at the domain's midpoint, where every |T_k| <= 1.
+    midpoint = 0.5 * domain.x_min + 0.5 * domain.x_max
+    acc = np.zeros((h + 1, P * measures))
+    for start in range(0, samples.size, chunk):
+        part = slice(start, start + chunk)
+        w, x = samples.w[part], samples.x[part]
+        if zero_weights:
+            x = np.where(w > 0, x, midpoint)
+        op = operand[:, :w.size]  # row p measures + u holds u T_{ph}
+        op[0] = w
+        for row, column in enumerate(columns, start=1):
+            np.multiply(w, column[part], out=op[row])
+        T = evaluate_all(rows, x, block[:, :w.size])
+        factors = [T[h]] if P > 1 else []  # T_{ph}, p = 1 .. P-1
+        if P > 2:  # multiplier rows T_{2h} .. T_{(P-1)h}, then 2 T_h
+            twice = np.multiply(T[h], 2.0, out=multipliers[-1, :w.size])
+            prev = 1.0
+            for nxt in multipliers[:-1, :w.size]:
+                np.multiply(twice, factors[-1], out=nxt)
+                nxt -= prev
+                prev = factors[-1]
+                factors.append(nxt)
+        for p, factor in enumerate(factors, start=1):
+            for u in range(measures):  # row by row: a broadcast may allocate a ufunc buffer
+                np.multiply(op[u], factor, out=op[p * measures + u])
+        acc += T @ op.T
+    S = acc.reshape(h + 1, P, measures).transpose(2, 1, 0)  # S[u, p, k]
+    m = np.empty((measures, h * P + 1))
+    m[:, :h + 1] = S[:, 0]
+    for p in range(1, P):
+        below = m[:, (p - 1) * h:p * h][:, ::-1]  # m_{ph-k}, k = 1 .. h
+        m[:, p * h + 1:(p + 1) * h + 1] = 2.0 * (S[:, p, 1:] - 0.5 * below)
+    return m
+
+
+def _workspace(h: int, P: int, measures: int,
+               size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A chunk's (h + 1, chunk) block of Chebyshev rows, its multiplier rows
+    (T_{2h} .. T_{(P-1)h} and 2 T_h, for P > 2) and its (P measures, chunk)
+    operand: views into one buffer, each row starting on a _LINE-byte line.
+    All the rows together hold _CHUNK_ELEMENTS, or the chunk sits at the
+    _CHUNK_SAMPLES floor; it never exceeds the ``size`` samples."""
+    counts = (h + 1, P - 1 if P > 2 else 0, P * measures)
+    chunk = min(max(_CHUNK_SAMPLES, _CHUNK_ELEMENTS // sum(counts)), size)
     stride = 8 * chunk + (-8 * chunk) % _LINE
-    raw = np.empty(_LINE + (n + 2 * measures) * stride, dtype=np.uint8)
-    rows = np.ndarray((n + 2 * measures, chunk), buffer=raw,
+    raw = np.empty(_LINE + sum(counts) * stride, dtype=np.uint8)
+    rows = np.ndarray((sum(counts), chunk), buffer=raw,
                       offset=-raw.ctypes.data % _LINE, strides=(stride, 8))
-    return rows[:n], rows[n:]
+    return rows[:counts[0]], rows[counts[0]:-counts[2]], rows[-counts[2]:]
+
+
+def _chebyshev_coefficients(family: Family, n: int) -> np.ndarray:
+    """C[k, j], k, j < n: Q_k = sum_j C[k, j] T_j, lower triangular.
+
+    From Q_{k+1} = (t Q_k - c_k Q_{k-1}) / a_k and
+    t T_j = (T_{j+1} + T_{|j-1|}) / 2. Every step is exact for the Chebyshev
+    family, whose C is I.
+    """
+    a, c = recurrence_coefficients(family, n)
+    scales, lags = (0.5 / a[:-1]).tolist(), (c[:-1] / a[:-1]).tolist()
+    C = np.zeros((n, n))
+    C[0, 0] = 1.0
+    for k, (scale, lag) in enumerate(zip(scales, lags)):
+        row, nxt = C[k], C[k + 1]
+        nxt[1:] = row[:-1]
+        nxt[:-1] += row[1:]
+        nxt[1] += row[0]
+        nxt *= scale
+        if lag:  # c_0 = 0, so C[k - 1] is read from k = 1 on
+            nxt -= lag * C[k - 1]
+    return C
+
+
+def _first_rows_and_last_columns(m: np.ndarray, family: Family) -> tuple[np.ndarray, np.ndarray]:
+    """Each measure's <Q_k u> and <Q_k Q_{n-1} u>, k < n, from its Chebyshev
+    moments m[u, j], j <= 2n - 2: C m[:n] and C (H C[n-1]), with
+    H[a, b] = <T_a T_b u> = m_{a+b} / 2 + m_{|a-b|} / 2, a sum of halves, so
+    that it is finite wherever the moments are."""
+    n = (m.shape[-1] + 1) // 2
+    C = _chebyshev_coefficients(family, n)
+    half = 0.5 * m
+    mirrored = np.concatenate((half[:, n - 1:0:-1], half[:, :n]), axis=-1)  # half_{|i-n+1|}
+    # strided views: [u, a, b] of half_{a+b} and of mirrored_{n-1+a-b}
+    hankel = np.ndarray(half.shape[:1] + (n, n), buffer=half, strides=half.strides + (8,))
+    toeplitz = np.ndarray(hankel.shape, buffer=mirrored, offset=8 * (n - 1),
+                          strides=mirrored.strides + (-8,))
+    return m[:, :n] @ C.T, ((hankel + toeplitz) @ C[n - 1]) @ C.T
 
 
 def _mixed_moments(basis: BasisSpec, first: np.ndarray, last: np.ndarray) -> np.ndarray:

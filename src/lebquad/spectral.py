@@ -119,9 +119,10 @@ def lebesgue_quadrature(grams: GramSet, A: np.ndarray, *,
     """Lebesgue quadrature of the process of operator A, which must be
     ``grams.A_f`` or ``grams.A_g``: nodes, weights, amplitudes. G is
     eigendecomposed; an eigenvalue at or below epsilon * lambda_max(G) makes
-    the pencil rank-deficient (ConditioningError), and no direction is
-    dropped. ``epsilon`` must lie in [0, 1). Eigenvectors are signed by the
-    moment vector so that amplitudes come out non-negative."""
+    the pencil rank-deficient (ConditioningError, or InputDataError when
+    lambda_max(G) itself is subnormal), and no direction is dropped.
+    ``epsilon`` must lie in [0, 1). Eigenvectors are signed by the moment
+    vector so that amplitudes come out non-negative."""
     if A is None:  # grams.A_g of samples without g
         raise ConfigurationError("samples carried no g column")
     if not (A is grams.A_f or A is grams.A_g):
@@ -135,6 +136,9 @@ def lebesgue_quadrature(grams: GramSet, A: np.ndarray, *,
     s, U = np.linalg.eigh(G)
     rank = int(np.count_nonzero(s > epsilon * s[-1]))
     if rank < grams.n:
+        if s[-1] < np.finfo(float).tiny:  # G's sums kept too few bits to have a rank
+            raise InputDataError(f"Gram matrix G is subnormal and rank-deficient for order "
+                                 f"{grams.n}: sample values too small for the Gram sums")
         raise ConditioningError(
             f"Gram matrix rank-deficient for order {grams.n}", effective_rank=rank
         )

@@ -410,10 +410,11 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
     ({"in.csv": b"x,w,f\n" + b"".join(b"%r,1e-300,%r\n" % (x, 1e-300 * math.cos(3 * x))
                                       for x in np.linspace(-1.0, 1.0, 50).tolist())},
      ["quadrature", "--input", "in.csv", "--n", "8"], None),
-    # subnormal weights leave too few bits in G: f nodes reach -2.2 and 1.03
-    ({"in.csv": b"x,w,f,g\n" + b"".join(b"%r,5e-324,%r,%r\n" % (x, math.cos(3 * x), math.sin(x))
-                                        for x in np.linspace(-1.0, 1.0, 50).tolist())},
-     ["quadrature", "--input", "in.csv", "--n", "8"], None),
+    # subnormal weights leave too few bits in G: f nodes reach -2.2 and 1.03;
+    # at n = 2 the g nodes leave the range of g, and at n = 16 G is rank-deficient
+    *(({"in.csv": b"x,w,f,g\n" + b"".join(b"%r,5e-324,%r,%r\n" % (x, math.cos(3 * x), math.sin(x))
+                                          for x in np.linspace(-1.0, 1.0, 50).tolist())},
+       ["quadrature", "--input", "in.csv", "--n", n], None) for n in ("8", "2", "16")),
     ({"in.csv": TWO_ATOM_CSV.encode()},
      ["joint", "--input", "in.csv", "--n", "2", "--seed", "5"], None),
     *(pytest.param({}, ["joint", "--scenario", "smooth", "--n", "8", "--format", fmt,
@@ -428,7 +429,8 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
         "epsilon-nan", "epsilon-inf", "epsilon-2", "epsilon-negative",
         "rho-order-negative", "rho-ragged-row", "rho-comment-then-text",
         "rho-nan", "rho-overflow", "joint-overflow", "nodes-past-float-max",
-        "operator-underflow", "nodes-outside-range", "seed-with-input",
+        "operator-underflow", "nodes-outside-range", "nodes-outside-range-order-2",
+        "gram-subnormal-rank-deficient", "seed-with-input",
         "output-full-device-json", "output-full-device-csv"])
 def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     monkeypatch.chdir(tmp_path)
@@ -449,7 +451,15 @@ def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     (b"x,f\n0,1.7e308\n1,0\n", ["quadrature", "--n", "1"], [8.5e307]),
     # the node-range bound past the float range: inf, not an overflow warning
     (b"x,f,g\n0.0,0.0,1.7976931348623127e+308\n", ["quadrature", "--n", "1"], [0.0]),
-], ids=["gram-near-float-max", "operator-overflow", "process-at-float-max"])
+    # the 8 Chebyshev-Lobatto points with their discrete-orthogonality weights:
+    # lambda_max(G) = sum w = 1.4e308, and <T_7 T_7> = 1.4e308 too, so the
+    # moments route at n = 8 (two multipliers) must not form 2 <T_7 T_7> or
+    # m_14 + m_0 = 2.8e308; the nodes are the 8 values of f
+    (b"x,w,f\n" + b"".join(b"%r,%s,%r\n" % (math.cos(math.pi * k / 7), b"1e307" if k in (0, 7)
+                                             else b"2e307", 0.01 * (k + 1)) for k in range(8)),
+     ["quadrature", "--n", "8"], 0.01 * np.arange(1, 9)),
+], ids=["gram-near-float-max", "operator-overflow", "process-at-float-max",
+        "chebyshev-moments-near-float-max"])
 def test_cli_finite_grams_near_float_max_solve(tmp_path, csv, args, nodes):
     # symmetrizing such a Gram as 0.5 (G + G^T) would overflow to inf
     path, out = tmp_path / "in.csv", tmp_path / "out.json"

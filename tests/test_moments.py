@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import lebquad.moments as moments
 import lebquad.reference as reference
+from lebquad.basis import evaluate_all
 from lebquad import (
     BasisSpec,
     ConditioningError,
@@ -125,7 +126,8 @@ def test_chebyshev_square_linearization_in_gram():
 @pytest.mark.parametrize("family, n", [
     *(pytest.param(family, 4, id=family.value) for family in Family),
     *(pytest.param(family, n, id=f"{family.value}-{n}")
-      for family in (Family.CHEBYSHEV, Family.LEGENDRE) for n in (64, 200)),
+      for family in (Family.CHEBYSHEV, Family.LEGENDRE) for n in (33, 64, 200)),
+    pytest.param(Family.MONOMIAL, 12, id="monomial-12"),
 ])
 def test_path_equivalence_random_data(family, n):
     rng = np.random.default_rng(11)
@@ -210,47 +212,68 @@ def test_configuration_errors(two_atom):
         accumulate_grams(two_atom, monomial(2), 0)
 
 
-def test_gram_route_evaluates_n_basis_rows(monkeypatch, scenario_samples):
-    sizes = []
+def _workspace_rows(n, measures):
+    # the rows the chunk loop writes: h + 1 Chebyshev rows, the multipliers
+    # T_{2h} .. T_{(P-1)h} and 2 T_h, and the (P measures) operand rows
+    h, P = moments._split(n)
+    return h + 1 + (P - 1 if P > 2 else 0) + P * measures
+
+
+@pytest.mark.parametrize("family", list(Family), ids=[f.value for f in Family])
+@pytest.mark.parametrize("n", [1, 2, 8, 32, 128])
+def test_gram_route_evaluates_h_plus_one_chebyshev_rows(monkeypatch, scenario_samples, family, n):
+    specs = []
     evaluate = moments.evaluate_all
 
     def recorded(spec, x, out):
-        sizes.append(spec.size)
+        specs.append(spec)
         return evaluate(spec, x, out)
 
     monkeypatch.setattr(moments, "evaluate_all", recorded)
     samples = scenario_samples["smooth"]
-    n = 128
-    accumulate_grams(samples, BasisSpec(Family.LEGENDRE, n, DomainMap(samples.x.min(), samples.x.max())), n)
+    domain = DomainMap(samples.x.min(), samples.x.max())
+    accumulate_grams(samples, BasisSpec(family, n, domain), n)
+    h, P = moments._split(n)
+    assert h * P >= 2 * n - 2 and (h - 1) * P < 2 * n - 2
+    assert h + 1 <= n or n < 4  # fewer rows than n basis rows, from P = 2 on
     measures = 3 if samples.has_g else 2
-    chunk = max(moments._CHUNK_SAMPLES, moments._CHUNK_ELEMENTS // (n + 2 * measures))
-    assert sizes == [n] * -(-samples.size // chunk)
+    chunk = max(moments._CHUNK_SAMPLES, moments._CHUNK_ELEMENTS // _workspace_rows(n, measures))
+    assert specs == [BasisSpec(Family.CHEBYSHEV, h + 1, domain)] * -(-samples.size // chunk)
 
 
 @pytest.mark.parametrize("n", [8, 32, 64, 1000])
 def test_moment_blocks_fit_the_budget_or_sit_at_the_floor(monkeypatch, n):
-    # the budget covers a chunk's n basis rows and its (2 measures, chunk) operand
-    lengths = []
-    evaluate = moments.evaluate_all
+    # the budget covers every row of a chunk's workspace: its h + 1
+    # Chebyshev rows, its multiplier rows and its (P measures) operand
+    lengths, workspaces = [], []
+    evaluate, workspace = moments.evaluate_all, moments._workspace
 
     def recorded(spec, x, out):
-        assert spec.size == n
         lengths.append(x.size)
         return evaluate(spec, x, out)
 
+    def recorded_workspace(*args):
+        workspaces.append(workspace(*args))
+        return workspaces[-1]
+
     monkeypatch.setattr(moments, "evaluate_all", recorded)
+    monkeypatch.setattr(moments, "_workspace", recorded_workspace)
     M = 40_000
     x = np.linspace(-1.0, 1.0, M)
     basis = BasisSpec(Family.CHEBYSHEV, n, DomainMap(-1, 1))
     for g, measures in ((None, 2), (x * x, 3)):
         lengths.clear()
+        workspaces.clear()
         accumulate_grams(SampleSet(x=x, w=np.ones(M), f=x, g=g), basis, n)
         assert sum(lengths) == M and len(lengths) > 1
         *full, last = lengths
         assert len(set(full)) == 1 and 0 < last <= full[0]
+        [views] = workspaces
+        rows = sum(len(view) for view in views)
+        assert rows == _workspace_rows(n, measures)
         for size in full:
-            assert ((n + 2 * measures) * size <= moments._CHUNK_ELEMENTS
-                    or size == moments._CHUNK_SAMPLES)
+            assert size == views[0].shape[1]
+            assert rows * size <= moments._CHUNK_ELEMENTS or size == moments._CHUNK_SAMPLES
             assert size >= moments._CHUNK_SAMPLES
 
 
@@ -266,16 +289,16 @@ def test_moment_pass_memory_is_one_cache_sized_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the block, the operand and the recurrence's one scratch row: a second
-    # block, or numpy's 64 KiB ufunc buffer, would not fit in the slack
+    # the workspace and the recurrence's one scratch row: a second block, or
+    # numpy's 64 KiB ufunc buffer, would not fit in the slack
     row = 8 * moments._CHUNK_SAMPLES
-    assert peak < (n + 2 * measures + 1) * row + 16 * 2**10
+    assert peak < (_workspace_rows(n, measures) + 1) * row + 16 * 2**10
 
 
 @pytest.mark.parametrize("n, g", [(1, None), (8, "g"), (32, "g"), (64, None)])
 def test_workspace_rows_start_on_cache_lines(monkeypatch, n, g):
     # one workspace per call: every chunk is evaluated into its block, and
-    # each block and operand row begins a cache line
+    # each block, multiplier and operand row begins a cache line
     workspaces, blocks = [], []
     workspace, evaluate = moments._workspace, moments.evaluate_all
 
@@ -293,12 +316,80 @@ def test_workspace_rows_start_on_cache_lines(monkeypatch, n, g):
     x = np.linspace(-1.0, 1.0, M)
     accumulate_grams(SampleSet(x=x, w=np.ones(M), f=x, g=None if g is None else x * x),
                      BasisSpec(Family.LEGENDRE, n, DomainMap(-1, 1)), n)
-    [(block, operand)] = workspaces
-    assert block.shape[0] == n and operand.shape[0] == (6 if g else 4)
+    [(block, multipliers, operand)] = workspaces
+    h, P = moments._split(n)
+    measures = 3 if g else 2
+    assert block.shape[0] == h + 1 and operand.shape[0] == P * measures
+    assert multipliers.shape[0] == (P - 1 if P > 2 else 0)
+    assert block.base is multipliers.base is operand.base
     assert len(blocks) > 1
     assert all(out.ctypes.data == block.ctypes.data for out in blocks)
-    for row in (*block, *operand):
+    for row in (*block, *multipliers, *operand):
         assert row.ctypes.data % moments._LINE == 0
+
+
+def test_workspace_is_freed_before_the_grams_are_assembled(monkeypatch):
+    # the n x n assembly must not run beside a chunk's workspace
+    M, n = 200_000, 32
+    x = np.linspace(-1.0, 1.0, M)
+    s = SampleSet(x=x, w=np.ones(M), f=np.sin(x), g=np.cos(x))
+    at_assembly = []
+    assemble = moments._mixed_moments
+
+    def recorded(*args):
+        at_assembly.append(tracemalloc.get_traced_memory()[0])
+        return assemble(*args)
+
+    monkeypatch.setattr(moments, "_mixed_moments", recorded)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        accumulate_grams(s, BasisSpec(Family.CHEBYSHEV, n, DomainMap(-1, 1)), n)
+    finally:
+        tracemalloc.stop()
+    workspace = _workspace_rows(n, 3) * 8 * moments._CHUNK_SAMPLES
+    [held] = at_assembly
+    assert held - before < workspace / 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_chebyshev_coefficients_reproduce_each_family(n):
+    x = np.concatenate([[-1.0, 1.0], np.random.default_rng(4).uniform(-1.0, 1.0, 200)])
+    domain = DomainMap(-1.0, 1.0)
+    T = evaluate_all(BasisSpec(Family.CHEBYSHEV, n, domain), x)
+    for family in Family:
+        C = moments._chebyshev_coefficients(family, n)
+        # |Q_k| <= 1 on [-1, 1]; both sides round in each of their k steps
+        np.testing.assert_allclose(C @ T, evaluate_all(BasisSpec(family, n, domain), x),
+                                   rtol=0, atol=4 * n * np.finfo(float).eps)
+    np.testing.assert_array_equal(moments._chebyshev_coefficients(Family.CHEBYSHEV, n), np.eye(n))
+
+
+def _splits(n):
+    # the rule's split, and splits with slack: h P > 2n - 2
+    h, P = moments._split(n)
+    return sorted({(h, P), (h + 1, P), (2 * n - 1, 1), (max(-(-(2 * n - 2) // 3), 1), 3),
+                   (max(n - 1, 1), 2), (max(-(-(2 * n - 2) // 5), 1) + 1, 5)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 64])
+def test_recovered_moments_match_direct_sums(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    M = 5000
+    x = rng.uniform(-2.0, 3.0, M)
+    s = SampleSet(x=x, w=rng.uniform(0.0, 1.0, M) * (rng.random(M) > 0.1),
+                  f=np.sin(3 * x), g=np.cos(x) - 0.5)
+    domain = DomainMap(-2.0, 3.0)
+    T = evaluate_all(BasisSpec(Family.CHEBYSHEV, 2 * n - 1, domain), x)
+    units = np.stack([s.w, s.w * s.f, s.w * s.g])
+    direct = units @ T.T
+    scale = np.abs(units).sum(axis=1, keepdims=True)  # |T_j| <= 1 on the domain
+    for h, P in _splits(n):
+        assert h * P >= 2 * n - 2
+        monkeypatch.setattr(moments, "_split", lambda n, split=(h, P): split)
+        m = moments._chebyshev_moments(s, domain, n, True)
+        assert m.shape == (3, h * P + 1)
+        assert (np.abs(m[:, :2 * n - 1] - direct) <= 1e-14 * scale).all(), (h, P)
 
 
 def test_zero_weight_sample_far_outside_the_support_changes_nothing():

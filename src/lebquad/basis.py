@@ -46,20 +46,6 @@ class DomainMap:
         return t
 
 
-def support_range(x, w) -> tuple[float, float]:
-    """Smallest and largest x over the samples of positive weight w.
-
-    Zero-weight samples add nothing to any Gram matrix, so they move neither
-    the domain nor the range of a process. No copy of x is made.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.min(w) > 0:  # a masked reduction is ~4x slower
-        return float(x.min()), float(x.max())
-    positive = np.asarray(w) > 0
-    return (float(np.min(x, where=positive, initial=np.inf)),
-            float(np.max(x, where=positive, initial=-np.inf)))
-
-
 @dataclass(frozen=True)
 class BasisSpec:
     """A family of polynomial basis functions Q_0 .. Q_{size-1} on a domain."""
@@ -78,7 +64,7 @@ def recurrence_coefficients(family: Family, size: int) -> tuple[np.ndarray, np.n
     """Coefficients (a_k, c_k), k = 0 .. size-1, of t Q_k = a_k Q_{k+1} + c_k Q_{k-1}.
 
     The one table of the three-term recurrences, used both to evaluate the
-    basis and to assemble Gram matrices from moments. c_0 = 0 always.
+    basis and to build C, its Chebyshev coefficients. c_0 = 0 always.
     """
     k = np.arange(size, dtype=float)
     if family is Family.CHEBYSHEV:

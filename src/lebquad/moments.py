@@ -1,28 +1,27 @@
 """Sample ingestion and moment-based Gram assembly.
 
 Every Gram and operator matrix <Q_j Q_k>, <Q_j f Q_k>, <Q_j g Q_k> of order
-n follows, by the basis recurrence, from its first row <Q_k> and its last
-column <Q_{n-1} Q_k>, and those follow from the 2n - 1 Chebyshev moments
-<T_j>, <f T_j>, <g T_j>, j <= 2n - 2, whatever the family, since
-T_a T_b = (T_{a+b} + T_{|a-b|}) / 2. :func:`accumulate_grams`, the one Gram
-route, reads the samples once, in chunks, reducing them to those moments
-with a two-level product (:func:`_chebyshev_moments`): about 2n / P + 1
-Chebyshev rows times P multiplier rows, P about sqrt(n), in place of n
-basis rows (O(M n) time, O(chunk sqrt(n)) memory). A connection matrix
-takes the moments to each Gram's first row and last column in the
-requested family, and the recurrence fills the rest from those alone
-(:func:`_mixed_moments`, O(n^2)). A chunk's working set, its rows plus the
-operand they are reduced against, is kept to about 1 MiB, so that it stays
-in L2 cache, but a chunk holds at least 4096 samples (see _CHUNK_ELEMENTS).
-Every chunk is evaluated into one workspace, allocated once per call, whose
-rows each start on a cache line, so that the pass does not run at whatever
-speed the heap's layout gives it (see _LINE).
+n follows from the 2n - 1 Chebyshev moments <T_i>, <f T_i>, <g T_i>,
+i <= 2n - 2, whatever the family, since T_a T_b = (T_{a+b} + T_{|a-b|}) / 2.
+:func:`accumulate_grams`, the one Gram route, reads the samples once, in
+chunks, reducing them to those moments with a two-level product
+(:func:`_chebyshev_moments`): about 2n / P + 1 Chebyshev rows times P
+multiplier rows, P about sqrt(n), in place of n basis rows (O(M n) time,
+O(chunk sqrt(n)) memory). Each Chebyshev Gram is then the matrix
+H[a, b] = m_{a+b} / 2 + m_{|a-b|} / 2, and any other family's is C H C^T,
+C its Chebyshev coefficients (:func:`_grams_from_moments`, O(n^3)). A
+chunk's working set, its rows plus the operand they are reduced against, is
+kept to about 1 MiB, so that it stays in L2 cache, but a chunk holds at
+least 4096 samples (see _CHUNK_ELEMENTS). Every chunk is evaluated into one
+workspace, allocated once per call, whose rows each start on a cache line,
+so that the pass does not run at whatever speed the heap's layout gives it
+(see _LINE).
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,8 +57,8 @@ _LINE = 64
 # n x n float64 arrays alive at once at an order-n run's peak: the three Grams,
 # their assembly, the eigensolvers' arrays, the joint estimates and the writer's
 # rows; the moment pass's workspace is freed before the Grams are assembled.
-# `lebquad joint`, all four kinds, JSON or CSV (smooth laws, M = 4e4), peaked at
-# 12.9-13.0 of them above its RSS before analyze at n = 1000 and 12.5-12.6 at 1500.
+# `lebquad joint`, all four kinds, JSON or CSV (smooth laws, M = 4e4, n = 1000, 1500),
+# peaked at 9.4-12.8 of them above its RSS before analyze (Chebyshev), 13.4-13.6 (Legendre).
 _SQUARE_ARRAYS = 16
 
 
@@ -85,6 +84,7 @@ class SampleSet:
     w: np.ndarray
     f: np.ndarray
     g: np.ndarray | None = None
+    support_size: int = field(init=False)  # samples of w > 0
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -107,7 +107,8 @@ class SampleSet:
                 if not np.isfinite(arr[row]):
                     raise InputDataError(f"non-finite value in column '{name}'", record=row + 1)
             raise InputDataError(f"negative weight {w[row]}", record=row + 1)
-        if w.sum() <= 0:
+        object.__setattr__(self, "support_size", int(np.count_nonzero(w)))  # w >= 0 here
+        if not self.support_size:
             raise InputDataError("total measure must be positive")
         for name, arr in (("x", x), ("w", w), ("f", f), ("g", g)):
             object.__setattr__(self, name, arr)
@@ -168,18 +169,16 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
 
     The samples are reduced to the Chebyshev moments m_j = sum u T_j(t),
     j = 0 .. 2n-2, of each measure u in [w, w f, w g], whatever the family
-    (:func:`_chebyshev_moments`, whose workspace is freed on return). With
-    Q_k = sum_j C[k, j] T_j (:func:`_chebyshev_coefficients`; C is I for
-    Chebyshev), each Gram's first row is C m[:n] and its last column
-    C (H C[n-1]), H[a, b] = m_{a+b} / 2 + m_{|a-b|} / 2
-    (:func:`_first_rows_and_last_columns`); :func:`_mixed_moments` fills in
-    the rest from those two.
+    (:func:`_chebyshev_moments`, whose workspace is freed on return). Each
+    Chebyshev Gram is H[a, b] = m_{a+b} / 2 + m_{|a-b|} / 2; with
+    Q_k = sum_j C[k, j] T_j (:func:`_chebyshev_coefficients`), any other
+    family's is C H C^T (:func:`_grams_from_moments`).
     """
     if n < 1:
         raise ConfigurationError(f"order must be >= 1, got {n}")
     if basis.size < n:
         raise ConfigurationError(f"basis size {basis.size} too small, need at least {n}")
-    support = int(np.count_nonzero(samples.w))
+    support = samples.support_size
     if n > support:
         raise ConditioningError(
             f"order {n} exceeds the {support} samples of positive weight",
@@ -193,8 +192,7 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
         )
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         m = _chebyshev_moments(samples, basis.domain, n, support < samples.size)
-        first, last = _first_rows_and_last_columns(m[:, :2 * n - 1], basis.family)
-        G, A_f, *A_g = _mixed_moments(basis, first, last)
+        G, A_f, *A_g = _grams_from_moments(m[:, :2 * n - 1], basis.family)
     A_g = A_g[0] if A_g else None
     for name, M, values in (("G", G, None), ("A_f", A_f, samples.f), ("A_g", A_g, samples.g)):
         if M is not None and not np.isfinite(M).all():
@@ -320,43 +318,20 @@ def _chebyshev_coefficients(family: Family, n: int) -> np.ndarray:
     return C
 
 
-def _first_rows_and_last_columns(m: np.ndarray, family: Family) -> tuple[np.ndarray, np.ndarray]:
-    """Each measure's <Q_k u> and <Q_k Q_{n-1} u>, k < n, from its Chebyshev
-    moments m[u, j], j <= 2n - 2: C m[:n] and C (H C[n-1]), with
-    H[a, b] = <T_a T_b u> = m_{a+b} / 2 + m_{|a-b|} / 2, a sum of halves, so
-    that it is finite wherever the moments are."""
+def _grams_from_moments(m: np.ndarray, family: Family) -> np.ndarray:
+    """Each measure's Gram <Q_j Q_k u>, j, k < n, from its Chebyshev moments
+    m[u, i], i <= 2n - 2: for Chebyshev H[u, a, b] = m_{a+b} / 2 + m_{|a-b|} / 2,
+    bit-symmetric and finite wherever the moments are, else C H C^T; the rows
+    of C are non-negative and sum to 1, so that |C H C^T| <= max |H|."""
     n = (m.shape[-1] + 1) // 2
-    C = _chebyshev_coefficients(family, n)
     half = 0.5 * m
     mirrored = np.concatenate((half[:, n - 1:0:-1], half[:, :n]), axis=-1)  # half_{|i-n+1|}
     # strided views: [u, a, b] of half_{a+b} and of mirrored_{n-1+a-b}
     hankel = np.ndarray(half.shape[:1] + (n, n), buffer=half, strides=half.strides + (8,))
     toeplitz = np.ndarray(hankel.shape, buffer=mirrored, offset=8 * (n - 1),
                           strides=mirrored.strides + (-8,))
-    return m[:, :n] @ C.T, ((hankel + toeplitz) @ C[n - 1]) @ C.T
-
-
-def _mixed_moments(basis: BasisSpec, first: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """sigma[..., j, k] = <Q_j Q_k>, j, k < n, from its first row and last column.
-
-    first[..., k] = sigma[..., 0, k] and last[..., k] = sigma[..., k, n-1].
-    With t Q_k = a_k Q_{k+1} + c_k Q_{k-1}, <Q_j (t Q_k)> = <(t Q_j) Q_k>
-    gives sigma[j+1, k] = (a_k sigma[j, k+1] + c_k sigma[j, k-1]
-    - c_j sigma[j-1, k]) / a_j for k < n-1; column n-1 is pinned to
-    ``last``. Only a_j divides: c_j is 0 for monomials. The upper triangle
-    is kept and mirrored.
-    """
-    n = first.shape[-1]
-    a, c = recurrence_coefficients(basis.family, n)
-    sigma = np.zeros(first.shape[:-1] + (n, n))
-    sigma[..., :, n - 1] = last
-    sigma[..., 0, :] = first
-    width = n - 1
-    for j in range(n - 1):
-        row, nxt = sigma[..., j, :], sigma[..., j + 1, :width]
-        nxt[...] = a[:width] * row[..., 1:]
-        nxt[..., 1:] += c[1:width] * row[..., :width - 1]
-        if j:
-            nxt -= c[j] * sigma[..., j - 1, :width]
-        nxt /= a[j]
-    return _mirror(sigma)
+    H = hankel + toeplitz
+    if family is Family.CHEBYSHEV:  # C is I
+        return H
+    C = _chebyshev_coefficients(family, n)
+    return _mirror(C @ H @ C.T)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import joint as joint_ops
-from .basis import BasisSpec, DomainMap, Family, support_range
+from .basis import BasisSpec, DomainMap, Family
 from .errors import ConfigurationError, InputDataError
 from .joint import DensityMatrix, JointDistributionMatrix
 from .moments import GramSet, SampleSet, accumulate_grams
@@ -57,12 +57,26 @@ class AnalysisResult:
         raise ConfigurationError(f"unknown correlation kind {kind!r}")
 
 
+def _support_range(samples: SampleSet, values: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest of ``values`` (x, f or g) over the samples of
+    positive weight.
+
+    Zero-weight samples add nothing to any Gram matrix, so they move neither
+    the domain nor the range of a process. No copy is made.
+    """
+    if samples.support_size == samples.size:  # a masked reduction is ~4x slower
+        return float(values.min()), float(values.max())
+    positive = samples.w > 0
+    return (float(np.min(values, where=positive, initial=np.inf)),
+            float(np.max(values, where=positive, initial=-np.inf)))
+
+
 def basis_for_samples(samples: SampleSet, size: int,
                       family: Family | str = Family.CHEBYSHEV) -> BasisSpec:
     """Basis of the given size, domain-mapped to the range of the samples of
     positive weight. If they all share one x value, only size 1 is possible
     (ConfigurationError otherwise), and its domain is [-1, 1]."""
-    lo, hi = support_range(samples.x, samples.w)
+    lo, hi = _support_range(samples, samples.x)
     if lo == hi:
         if size >= 2:
             raise ConfigurationError(
@@ -96,7 +110,7 @@ def analyze(samples: SampleSet, n: int = DEFAULT_ORDER,
     rounding = 8 * n * np.finfo(float).eps * quad_f.eigensolution.gram_condition
     for name, quad, values in (("f", quad_f, samples.f), ("g", quad_g, samples.g)):
         if quad is not None:
-            lo, hi = support_range(values, samples.w)
+            lo, hi = _support_range(samples, values)
             with np.errstate(over="ignore"):  # a bound past the float range rejects nothing
                 tol = rounding * max(abs(lo), abs(hi))
                 outside = quad.nodes[0] < lo - tol or quad.nodes[-1] > hi + tol

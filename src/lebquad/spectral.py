@@ -120,7 +120,8 @@ def lebesgue_quadrature(grams: GramSet, A: np.ndarray, *,
     ``grams.A_f`` or ``grams.A_g``: nodes, weights, amplitudes. G is
     eigendecomposed; an eigenvalue at or below epsilon * lambda_max(G) makes
     the pencil rank-deficient (ConditioningError, or InputDataError when
-    lambda_max(G) itself is subnormal), and no direction is dropped.
+    lambda_max(G) itself is subnormal), and no direction is dropped. An
+    eigenvalue past the float maximum is an InputDataError.
     ``epsilon`` must lie in [0, 1). Eigenvectors are signed by the moment
     vector so that amplitudes come out non-negative."""
     if A is None:  # grams.A_g of samples without g
@@ -134,6 +135,9 @@ def lebesgue_quadrature(grams: GramSet, A: np.ndarray, *,
     if A.shape != G.shape:
         raise InputDataError(f"shape mismatch: A {A.shape} vs G {G.shape}")
     s, U = np.linalg.eigh(G)
+    if not np.isfinite(s).all():  # G is finite, but its spectrum is past the float maximum
+        raise InputDataError(f"Gram matrix G overflows: sample values too large for order "
+                             f"{grams.n}")
     rank = int(np.count_nonzero(s > epsilon * s[-1]))
     if rank < grams.n:
         if s[-1] < np.finfo(float).tiny:  # G's sums kept too few bits to have a rank

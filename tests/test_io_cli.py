@@ -362,6 +362,13 @@ def test_cli_scenario_seed_override(tmp_path):
 
 LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
 
+# the 8 Chebyshev-Lobatto points with their discrete-orthogonality weights:
+# lambda_max(G) = sum w = 1.4e308 in the Chebyshev basis, and <T_7 T_7> = 1.4e308
+# too; the nodes are the 8 values of f
+LOBATTO_NEAR_FLOAT_MAX = b"x,w,f\n" + b"".join(
+    b"%r,%s,%r\n" % (math.cos(math.pi * k / 7), b"1e307" if k in (0, 7) else b"2e307",
+                     0.01 * (k + 1)) for k in range(8))
+
 
 @pytest.mark.parametrize("files, args, line", [
     ({"in.csv": b"x,f,g\n0.1,1e308,1\n0.5,1.5e308,2\n0.9,1.7e308,3\n"},
@@ -415,6 +422,9 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
     *(({"in.csv": b"x,w,f,g\n" + b"".join(b"%r,5e-324,%r,%r\n" % (x, math.cos(3 * x), math.sin(x))
                                           for x in np.linspace(-1.0, 1.0, 50).tolist())},
        ["quadrature", "--input", "in.csv", "--n", n], None) for n in ("8", "2", "16")),
+    # every monomial Gram entry is finite, but lambda_max(G) is past the float maximum
+    ({"in.csv": LOBATTO_NEAR_FLOAT_MAX},
+     ["quadrature", "--input", "in.csv", "--n", "8", "--basis", "monomial"], None),
     ({"in.csv": TWO_ATOM_CSV.encode()},
      ["joint", "--input", "in.csv", "--n", "2", "--seed", "5"], None),
     *(pytest.param({}, ["joint", "--scenario", "smooth", "--n", "8", "--format", fmt,
@@ -430,7 +440,7 @@ LAWS = b"x_law = uniform_grid\nf_law = smooth\nomega_law = unit\n"
         "rho-order-negative", "rho-ragged-row", "rho-comment-then-text",
         "rho-nan", "rho-overflow", "joint-overflow", "nodes-past-float-max",
         "operator-underflow", "nodes-outside-range", "nodes-outside-range-order-2",
-        "gram-subnormal-rank-deficient", "seed-with-input",
+        "gram-subnormal-rank-deficient", "gram-spectrum-past-float-max", "seed-with-input",
         "output-full-device-json", "output-full-device-csv"])
 def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     monkeypatch.chdir(tmp_path)
@@ -451,15 +461,12 @@ def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     (b"x,f\n0,1.7e308\n1,0\n", ["quadrature", "--n", "1"], [8.5e307]),
     # the node-range bound past the float range: inf, not an overflow warning
     (b"x,f,g\n0.0,0.0,1.7976931348623127e+308\n", ["quadrature", "--n", "1"], [0.0]),
-    # the 8 Chebyshev-Lobatto points with their discrete-orthogonality weights:
-    # lambda_max(G) = sum w = 1.4e308, and <T_7 T_7> = 1.4e308 too, so the
-    # moments route at n = 8 (two multipliers) must not form 2 <T_7 T_7> or
-    # m_14 + m_0 = 2.8e308; the nodes are the 8 values of f
-    (b"x,w,f\n" + b"".join(b"%r,%s,%r\n" % (math.cos(math.pi * k / 7), b"1e307" if k in (0, 7)
-                                             else b"2e307", 0.01 * (k + 1)) for k in range(8)),
-     ["quadrature", "--n", "8"], 0.01 * np.arange(1, 9)),
+    # the moments route at n = 8 (two multipliers) must not form 2 <T_7 T_7>
+    # or m_14 + m_0 = 2.8e308, and C H C^T must not pass max |H|
+    *((LOBATTO_NEAR_FLOAT_MAX, ["quadrature", "--n", "8", "--basis", basis],
+       0.01 * np.arange(1, 9)) for basis in ("chebyshev", "legendre")),
 ], ids=["gram-near-float-max", "operator-overflow", "process-at-float-max",
-        "chebyshev-moments-near-float-max"])
+        "chebyshev-moments-near-float-max", "chebyshev-moments-near-float-max-legendre"])
 def test_cli_finite_grams_near_float_max_solve(tmp_path, csv, args, nodes):
     # symmetrizing such a Gram as 0.5 (G + G^T) would overflow to inf
     path, out = tmp_path / "in.csv", tmp_path / "out.json"

@@ -114,13 +114,24 @@ def test_order_one_gram_from_moments(two_atom):
     np.testing.assert_allclose(via.A_f, [[0.0]])
 
 
-def test_chebyshev_square_linearization_in_gram():
+def test_chebyshev_square_linearization_in_gram(scenario_samples):
     rng = np.random.default_rng(5)
     x = rng.uniform(-1, 1, 200)
     s = SampleSet(x=x, w=np.ones(200), f=x)
     b = BasisSpec(family=Family.CHEBYSHEV, size=3, domain=DomainMap(-1, 1))
     grams = accumulate_grams(s, b, 3)
     assert grams.G[1, 1] == pytest.approx((grams.G[0, 0] + grams.G[0, 2]) / 2, rel=1e-14)
+    # T_j T_k = (T_{j+k} + T_{|j-k|}) / 2 holds bit for bit in every Chebyshev
+    # Gram: each entry is the sum of two halved moments, and row 0 the moments
+    for samples in scenario_samples.values():
+        domain = DomainMap(samples.x.min(), samples.x.max())
+        for n in (3, 8, 32):
+            grams = accumulate_grams(samples, BasisSpec(Family.CHEBYSHEV, n, domain), n)
+            for M in (grams.G, grams.A_f, grams.A_g):
+                for j in range(n):
+                    k = np.arange(n - j)
+                    np.testing.assert_array_equal(
+                        M[j, k], 0.5 * M[0, j + k] + 0.5 * M[0, np.abs(j - k)])
 
 
 @pytest.mark.parametrize("family, n", [
@@ -334,13 +345,13 @@ def test_workspace_is_freed_before_the_grams_are_assembled(monkeypatch):
     x = np.linspace(-1.0, 1.0, M)
     s = SampleSet(x=x, w=np.ones(M), f=np.sin(x), g=np.cos(x))
     at_assembly = []
-    assemble = moments._mixed_moments
+    assemble = moments._grams_from_moments
 
     def recorded(*args):
         at_assembly.append(tracemalloc.get_traced_memory()[0])
         return assemble(*args)
 
-    monkeypatch.setattr(moments, "_mixed_moments", recorded)
+    monkeypatch.setattr(moments, "_grams_from_moments", recorded)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -362,6 +373,9 @@ def test_chebyshev_coefficients_reproduce_each_family(n):
         # |Q_k| <= 1 on [-1, 1]; both sides round in each of their k steps
         np.testing.assert_allclose(C @ T, evaluate_all(BasisSpec(family, n, domain), x),
                                    rtol=0, atol=4 * n * np.finfo(float).eps)
+        # Q_k(1) = 1 with non-negative coefficients, so |C H C^T| <= max |H|
+        assert (C >= 0).all()
+        np.testing.assert_allclose(C.sum(axis=1), 1.0, rtol=0, atol=n * np.finfo(float).eps)
     np.testing.assert_array_equal(moments._chebyshev_coefficients(Family.CHEBYSHEV, n), np.eye(n))
 
 

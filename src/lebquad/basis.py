@@ -7,7 +7,7 @@ units of the input data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -22,12 +22,24 @@ class Family(str, Enum):
     MONOMIAL = "monomial"
 
 
+def scale_exponent(lo: float, hi: float) -> int:
+    """The even e with max(|lo|, |hi|) 2^-e in [1/2, 2), or 0 if both are 0:
+    the one scale rule of the library. Scaling by 2^-e is exact short of
+    underflow, and e is even so that square roots scale exactly too."""
+    e = math.frexp(max(abs(lo), abs(hi)))[1]
+    return e - e % 2
+
+
 @dataclass(frozen=True)
 class DomainMap:
-    """Affine map x -> t = (2x - x_min - x_max) / (x_max - x_min) in [-1, 1]."""
+    """Affine map x -> t = (2x - x_min - x_max) / (x_max - x_min) in [-1, 1],
+    with x and the endpoints first scaled by 2^-e, e their :func:`scale_exponent`,
+    so that no step overflows; the scale cancels in the quotient."""
 
     x_min: float
     x_max: float
+    # (e, x_min 2^-e, x_max 2^-e), computed once
+    _scaled: tuple[int, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
@@ -36,13 +48,17 @@ class DomainMap:
             raise ConfigurationError(
                 f"domain requires x_min < x_max, got [{self.x_min}, {self.x_max}]"
             )
+        e = scale_exponent(self.x_min, self.x_max)
+        object.__setattr__(self, "_scaled",
+                           (e, math.ldexp(self.x_min, -e), math.ldexp(self.x_max, -e)))
 
     def __call__(self, x, out=None):
         """t at x, written into ``out`` (a float array of x's shape) if given."""
-        t = np.multiply(np.asarray(x, dtype=float), 2.0, out=out)
-        t -= self.x_min
-        t -= self.x_max
-        t /= self.x_max - self.x_min
+        e, lo, hi = self._scaled
+        t = np.ldexp(np.asarray(x, dtype=float), 1 - e, out=out)  # 2x 2^-e
+        t -= lo
+        t -= hi
+        t /= hi - lo
         return t
 
 

@@ -150,6 +150,9 @@ def _sample_columns(lineno: int | None, line: str) -> list[str]:
     unknown = set(header) - {"x", "w", "f", "g"}
     if unknown:
         raise InputDataError(f"unknown columns {sorted(unknown)}", line=lineno)
+    if len(set(header)) < len(header):
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        raise InputDataError(f"repeated columns {repeated}", line=lineno)
     return header
 
 

@@ -7,7 +7,8 @@ i <= 2n - 2, whatever the family, since T_a T_b = (T_{a+b} + T_{|a-b|}) / 2.
 chunks, reducing them to those moments with a two-level product
 (:func:`_chebyshev_moments`): about 2n / P + 1 Chebyshev rows times P
 multiplier rows, P about sqrt(n), in place of n basis rows (O(M n) time,
-O(chunk sqrt(n)) memory). Each Chebyshev Gram is then the matrix
+O(chunk sqrt(n)) memory), with w, f and g scaled by exact powers of two
+(:func:`accumulate_grams`). Each Chebyshev Gram is then the matrix
 H[a, b] = m_{a+b} / 2 + m_{|a-b|} / 2, and any other family's is C H C^T,
 C its Chebyshev coefficients (:func:`_grams_from_moments`, O(n^3)). A
 chunk's working set, its rows plus the operand they are reduced against, is
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, DomainMap, Family, evaluate_all, recurrence_coefficients
+from .basis import (BasisSpec, DomainMap, Family, evaluate_all, recurrence_coefficients,
+                    scale_exponent)
 from .errors import ConditioningError, ConfigurationError, InputDataError
 
 # A chunk's working set, its rows (the block of Chebyshev rows, the
@@ -58,7 +60,8 @@ _LINE = 64
 # their assembly, the eigensolvers' arrays, the joint estimates and the writer's
 # rows; the moment pass's workspace is freed before the Grams are assembled.
 # `lebquad joint`, all four kinds, JSON or CSV (smooth laws, M = 4e4, n = 1000, 1500),
-# peaked at 9.4-12.8 of them above its RSS before analyze (Chebyshev), 13.4-13.6 (Legendre).
+# peaked at 9.4-12.9 of them above its RSS before analyze (Chebyshev) and 9.4-13.0
+# (Legendre, whose C H C^T assembly holds about 7 of them at its own peak).
 _SQUARE_ARRAYS = 16
 
 
@@ -85,6 +88,8 @@ class SampleSet:
     f: np.ndarray
     g: np.ndarray | None = None
     support_size: int = field(init=False)  # samples of w > 0
+    # (min, max) of x, f and g where w > 0; (0, max) of w
+    spans: dict[str, tuple[float, float]] = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -110,6 +115,12 @@ class SampleSet:
         object.__setattr__(self, "support_size", int(np.count_nonzero(w)))  # w >= 0 here
         if not self.support_size:
             raise InputDataError("total measure must be positive")
+        positive = True if self.support_size == x.size else w > 0  # a mask is ~14x slower
+        spans = {name: (float(np.min(arr, where=positive, initial=np.inf)),
+                        float(np.max(arr, where=positive, initial=-np.inf)))
+                 for name, arr in columns if name != "w"}
+        # w's largest is its largest where w > 0; nothing reads its smallest
+        object.__setattr__(self, "spans", {"w": (0.0, float(w.max())), **spans})
         for name, arr in (("x", x), ("w", w), ("f", f), ("g", g)):
             object.__setattr__(self, name, arr)
             if arr is not None:
@@ -126,14 +137,15 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class GramSet:
-    """Gram and operator matrices of a SampleSet in a given basis.
-
-    Row 0 of G is the moment vector <Q_k>, and G[0, 0] the total measure.
-    """
+    """Gram and operator matrices of a SampleSet in a given basis, scaled:
+    with (e_w, e_f, e_g) = ``exponents``, G = <Q_j Q_k> 2^-e_w,
+    A_f = <Q_j f Q_k> 2^-(e_w + e_f) and A_g = <Q_j g Q_k> 2^-(e_w + e_g).
+    Row 0 of G is the moment vector <Q_k>, scaled as G."""
 
     G: np.ndarray
     A_f: np.ndarray
     A_g: np.ndarray | None = None
+    exponents: tuple[int, int, int] = (0, 0, 0)
 
     @property
     def n(self) -> int:
@@ -145,17 +157,13 @@ class GramSet:
 
     @property
     def total_measure(self) -> float:
-        return float(self.G[0, 0])
+        """G[0, 0] 2^e_w, the sum of the weights; inf past the float maximum."""
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(self.G[0, 0], self.exponents[0]))
 
     @property
     def has_g(self) -> bool:
         return self.A_g is not None
-
-
-def _mirror(M: np.ndarray) -> np.ndarray:
-    # Bit-for-bit symmetric over the last two axes: keep the upper
-    # triangle, mirror it down.
-    return np.triu(M) + np.swapaxes(np.triu(M, 1), -1, -2)
 
 
 def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
@@ -164,11 +172,14 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
     Orders above the number of positive-weight samples are rejected before
     anything n-sized is allocated: such a Gram matrix cannot have full rank.
     So are orders above :func:`max_order`, whose arrays would not fit in
-    physical memory. Finite samples whose sums overflow to inf or NaN raise
-    InputDataError, as does an f or g operator that underflows to zero.
+    physical memory.
 
-    The samples are reduced to the Chebyshev moments m_j = sum u T_j(t),
-    j = 0 .. 2n-2, of each measure u in [w, w f, w g], whatever the family
+    Each column c in [w, f, g] is scaled by 2^-e_c, e_c the
+    :func:`scale_exponent` of its span, so that |c 2^-e_c| < 2 where w > 0:
+    every |u| < 4 and |T_j| <= 1, so each Gram entry is below 4M, and
+    G[0, 0] >= 1/2. The samples are reduced to the Chebyshev moments
+    m_j = sum u T_j(t), j = 0 .. 2n-2, of each scaled measure u in
+    [w, w f, w g], whatever the family
     (:func:`_chebyshev_moments`, whose workspace is freed on return). Each
     Chebyshev Gram is H[a, b] = m_{a+b} / 2 + m_{|a-b|} / 2; with
     Q_k = sum_j C[k, j] T_j (:func:`_chebyshev_coefficients`), any other
@@ -190,20 +201,10 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
             f"n x n arrays, more than the {physical_memory() / 2**30:.3g} GiB of "
             f"physical memory"
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        m = _chebyshev_moments(samples, basis.domain, n, support < samples.size)
-        G, A_f, *A_g = _grams_from_moments(m[:, :2 * n - 1], basis.family)
-    A_g = A_g[0] if A_g else None
-    for name, M, values in (("G", G, None), ("A_f", A_f, samples.f), ("A_g", A_g, samples.g)):
-        if M is not None and not np.isfinite(M).all():
-            raise InputDataError(
-                f"Gram matrix {name} overflows: sample values too large for order {n}"
-            )
-        # all zero by underflow, not cancellation: some w f of nonzero w and f is 0
-        if values is not None and not M.any() and np.any(
-                (samples.w * values == 0) & (samples.w != 0) & (values != 0)):
-            raise InputDataError(f"Gram matrix {name} underflows to zero: sample values too small")
-    return GramSet(G=G, A_f=A_f, A_g=A_g)
+    exponents = tuple(scale_exponent(*samples.spans.get(name, (0.0, 0.0))) for name in "wfg")
+    m = _chebyshev_moments(samples, basis.domain, n, support < samples.size, exponents)
+    G, A_f, *A_g = _grams_from_moments(m[:, :2 * n - 1], basis.family)
+    return GramSet(G=G, A_f=A_f, A_g=A_g[0] if A_g else None, exponents=exponents)
 
 
 def _split(n: int) -> tuple[int, int]:
@@ -222,10 +223,11 @@ def _split(n: int) -> tuple[int, int]:
     return -(-(2 * n - 2) // P), P
 
 
-def _chebyshev_moments(samples: SampleSet, domain: DomainMap, n: int,
-                       zero_weights: bool) -> np.ndarray:
+def _chebyshev_moments(samples: SampleSet, domain: DomainMap, n: int, zero_weights: bool,
+                       exponents: tuple[int, int, int]) -> np.ndarray:
     """m[u, j] = sum_l u_l T_j(t_l), j = 0 .. hP (:func:`_split`), for the
-    measures u in [w, w f, w g].
+    measures u in [w', w' f', w' g'], c' = c 2^-e_c with (e_w, e_f, e_g) =
+    ``exponents``.
 
     Each chunk evaluates the Chebyshev rows T_0 .. T_h with
     :func:`evaluate_all` and the multipliers T_{ph} = T_p(T_h), p < P, with
@@ -235,28 +237,34 @@ def _chebyshev_moments(samples: SampleSet, domain: DomainMap, n: int,
     chunks. Then m_k = S[k, 0], k <= h, and block by block in p,
     m_{ph+k} = 2 (S[k, p] - m_{ph-k} / 2), k = 1 .. h: halving first keeps it
     finite wherever the moments are. With ``zero_weights``, samples of zero
-    weight are evaluated at the domain's midpoint.
+    weight are evaluated at the domain's midpoint, and their f' and g' are
+    taken as 0.
     """
     h, P = _split(n)
     rows = BasisSpec(Family.CHEBYSHEV, h + 1, domain)
     measures = 3 if samples.has_g else 2
     block, multipliers, operand = _workspace(h, P, measures, samples.size)
     chunk = block.shape[1]
-    columns = [samples.f] + ([samples.g] if samples.has_g else [])
-    # Zero-weight samples add 0 to every sum wherever they are evaluated, but
-    # far outside the domain T_k overflows and 0 inf is NaN: they are
-    # evaluated at the domain's midpoint, where every |T_k| <= 1.
+    e_w, *scales = exponents
+    columns = list(zip((samples.f, samples.g), scales))[:measures - 1]
+    # Zero-weight samples add 0 to every sum, but far outside the domain T_k
+    # overflows, as may their scaled f and g, and 0 inf is NaN: they are
+    # evaluated at the domain's midpoint, where |T_k| <= 1, with f = g = 0.
     midpoint = 0.5 * domain.x_min + 0.5 * domain.x_max
     acc = np.zeros((h + 1, P * measures))
     for start in range(0, samples.size, chunk):
         part = slice(start, start + chunk)
         w, x = samples.w[part], samples.x[part]
         if zero_weights:
-            x = np.where(w > 0, x, midpoint)
+            positive = w > 0
+            x = np.where(positive, x, midpoint)
         op = operand[:, :w.size]  # row p measures + u holds u T_{ph}
-        op[0] = w
-        for row, column in enumerate(columns, start=1):
-            np.multiply(w, column[part], out=op[row])
+        np.ldexp(w, -e_w, out=op[0])
+        for row, (column, e) in enumerate(columns, start=1):
+            values = np.where(positive, column[part], 0.0) if zero_weights else column[part]
+            # scaled before the product, which could underflow first
+            np.ldexp(values, -e, out=op[row])
+            op[row] *= op[0]
         T = evaluate_all(rows, x, block[:, :w.size])
         factors = [T[h]] if P > 1 else []  # T_{ph}, p = 1 .. P-1
         if P > 2:  # multiplier rows T_{2h} .. T_{(P-1)h}, then 2 T_h
@@ -321,8 +329,9 @@ def _chebyshev_coefficients(family: Family, n: int) -> np.ndarray:
 def _grams_from_moments(m: np.ndarray, family: Family) -> np.ndarray:
     """Each measure's Gram <Q_j Q_k u>, j, k < n, from its Chebyshev moments
     m[u, i], i <= 2n - 2: for Chebyshev H[u, a, b] = m_{a+b} / 2 + m_{|a-b|} / 2,
-    bit-symmetric and finite wherever the moments are, else C H C^T; the rows
-    of C are non-negative and sum to 1, so that |C H C^T| <= max |H|."""
+    bit-symmetric and finite wherever the moments are, else C H C^T, its
+    upper triangle mirrored down in place; the rows of C are non-negative and
+    sum to 1, so that |C H C^T| <= max |H|."""
     n = (m.shape[-1] + 1) // 2
     half = 0.5 * m
     mirrored = np.concatenate((half[:, n - 1:0:-1], half[:, :n]), axis=-1)  # half_{|i-n+1|}
@@ -334,4 +343,9 @@ def _grams_from_moments(m: np.ndarray, family: Family) -> np.ndarray:
     if family is Family.CHEBYSHEV:  # C is I
         return H
     C = _chebyshev_coefficients(family, n)
-    return _mirror(C @ H @ C.T)
+    H = C @ H  # one product at a time, each freeing its operand: at most 7 n^2 doubles
+    H = H @ C.T
+    lower = np.tri(n, k=-1, dtype=bool)
+    for M in H:  # bit-symmetric: the upper triangle mirrored down, in place
+        np.copyto(M, M.T.copy(), where=lower)
+    return H

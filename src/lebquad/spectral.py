@@ -3,6 +3,8 @@
 The pencil (A, G) is reduced to an ordinary symmetric problem by whitening
 G through its eigendecomposition, which doubles as the rank check: epsilon
 is a rank threshold, not a regularization that drops directions.
+Both solves work on the scaled Grams of :class:`GramSet` and unscale once:
+nodes by 2^e_f (or 2^e_g), amplitudes by 2^(e_w / 2), alpha by 2^(-e_w / 2).
 """
 from __future__ import annotations
 
@@ -74,24 +76,32 @@ def _reduced_eigh(Y: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Eigenpairs of the symmetric operator Y^T A Y, which must be finite.
 
     Y = U s^-1/2 has entries up to s_min^-1/2, s_min being G's smallest
-    eigenvalue, so Y^T A can overflow for a finite A. A is scaled by 2^-e
-    first, 2^e being within a factor 4 of max|A| max|Y|, so that the entries
-    of Y^T A stay below 2n and those of Y^T A Y below 2n^2 max|Y|; the
-    eigenvalues are scaled back by 2^e. Powers of two scale exactly, and e
-    is even so that the square roots in eigh do too. Eigenvalues that round
-    past the float maximum still overflow.
+    kept eigenvalue, above epsilon lambda_max(G) >= epsilon / 2 for a scaled
+    G. So Y^T A Y of a scaled A stays finite unless epsilon is below about
+    1e-290, where it can overflow: InputDataError.
     """
-    e = np.frexp(np.abs(A).max())[1] + np.frexp(np.abs(Y).max())[1]
-    e -= e % 2
     with np.errstate(over="ignore", invalid="ignore"):
-        M = _halved_sum(Y.T @ np.ldexp(A, -e) @ Y)
-    if np.isfinite(M).all():
-        lam, B = np.linalg.eigh(M)
-        with np.errstate(over="ignore"):  # eigenvalues rounded past the float maximum
-            lam = np.ldexp(lam, e)
-        if np.isfinite(lam).all():
-            return lam, B
-    raise InputDataError("operator overflows in the Gram eigenbasis: sample values too large")
+        M = _halved_sum(Y.T @ A @ Y)
+    if not np.isfinite(M).all():
+        raise InputDataError("operator overflows in the Gram eigenbasis: sample values too large")
+    return np.linalg.eigh(M)
+
+
+def _quadrature(grams: GramSet, e: int, lam: np.ndarray, amplitudes: np.ndarray,
+                solution: EigenSolution) -> LebesgueQuadrature:
+    """The quadrature of nodes lam 2^e, lam those of the process scaled by
+    2^-e; InputDataError if a node, the sum of the weights or the total
+    measure rounds past the float maximum."""
+    with np.errstate(over="ignore"):
+        nodes = np.ldexp(lam, e)
+        weights = amplitudes * amplitudes
+        weight_sum = weights.sum()  # finite only if every weight is
+    if not np.isfinite(nodes).all():
+        raise InputDataError("nodes past the float maximum: sample values too large")
+    if not (np.isfinite(weight_sum) and np.isfinite(grams.total_measure)):
+        raise InputDataError("weights past the float maximum: sample values too large")
+    return LebesgueQuadrature(nodes=nodes, weights=weights,
+                              amplitudes=amplitudes, eigensolution=solution, grams=grams)
 
 
 def _signed_reduction(Y: np.ndarray, A: np.ndarray, m: np.ndarray):
@@ -119,9 +129,9 @@ def lebesgue_quadrature(grams: GramSet, A: np.ndarray, *,
     """Lebesgue quadrature of the process of operator A, which must be
     ``grams.A_f`` or ``grams.A_g``: nodes, weights, amplitudes. G is
     eigendecomposed; an eigenvalue at or below epsilon * lambda_max(G) makes
-    the pencil rank-deficient (ConditioningError, or InputDataError when
-    lambda_max(G) itself is subnormal), and no direction is dropped. An
-    eigenvalue past the float maximum is an InputDataError.
+    the pencil rank-deficient (ConditioningError), and no direction is
+    dropped. A node, weight or total measure past the float maximum is an
+    InputDataError.
     ``epsilon`` must lie in [0, 1). Eigenvectors are signed by the moment
     vector so that amplitudes come out non-negative."""
     if A is None:  # grams.A_g of samples without g
@@ -130,33 +140,29 @@ def lebesgue_quadrature(grams: GramSet, A: np.ndarray, *,
         raise ConfigurationError("A must be grams.A_f or grams.A_g")
     if not 0 <= epsilon < 1:  # also rejects nan
         raise ConfigurationError(f"epsilon must be in [0, 1), got {epsilon}")
+    e_w, e_f, e_g = grams.exponents
+    e_A = e_f if A is grams.A_f else e_g  # before A is rebound
     A = symmetrized(A, "A")
     G = symmetrized(grams.G, "G")
     if A.shape != G.shape:
         raise InputDataError(f"shape mismatch: A {A.shape} vs G {G.shape}")
     s, U = np.linalg.eigh(G)
-    if not np.isfinite(s).all():  # G is finite, but its spectrum is past the float maximum
-        raise InputDataError(f"Gram matrix G overflows: sample values too large for order "
-                             f"{grams.n}")
     rank = int(np.count_nonzero(s > epsilon * s[-1]))
     if rank < grams.n:
-        if s[-1] < np.finfo(float).tiny:  # G's sums kept too few bits to have a rank
-            raise InputDataError(f"Gram matrix G is subnormal and rank-deficient for order "
-                                 f"{grams.n}: sample values too small for the Gram sums")
         raise ConditioningError(
             f"Gram matrix rank-deficient for order {grams.n}", effective_rank=rank
         )
     lam, alpha, _, amplitudes = _signed_reduction(U / np.sqrt(s), A, grams.m)
-    return LebesgueQuadrature(nodes=lam, weights=amplitudes * amplitudes, amplitudes=amplitudes,
-                              eigensolution=EigenSolution(alpha, float(s[-1]) / float(s[0])),
-                              grams=grams)
+    return _quadrature(grams, e_A, lam, np.ldexp(amplitudes, e_w // 2),
+                       EigenSolution(np.ldexp(alpha, -e_w // 2), float(s[-1]) / float(s[0])))
 
 
 def lebesgue_quadrature_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> LebesgueQuadrature:
     """Quadrature of g, solved in the f-eigenbasis, where the pencil has unit
     right-hand side. Its solution keeps the eigenvectors over the
     f-eigenfunctions, S, as ``in_f_basis`` and quad_f's solution as
-    ``f_solution``; the amplitudes are S^T a_f."""
+    ``f_solution``; the amplitudes are S^T a_f. Its sign rule sees scaled
+    amplitudes, as the f solve's does."""
     if grams.A_g is None:
         raise ConfigurationError("samples carried no g column")
     alpha_f = quad_f.eigensolution.alpha
@@ -165,9 +171,8 @@ def lebesgue_quadrature_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -
             f"dimension mismatch: f-eigenbasis is {alpha_f.shape[0]}, "
             f"operator is {grams.A_g.shape[0]}"
         )
-    lam, alpha_g, S, _ = _signed_reduction(alpha_f, grams.A_g, grams.m)
-    amplitudes = S.T @ quad_f.amplitudes
-    sol = EigenSolution(alpha_g, quad_f.eigensolution.gram_condition,
+    e_w, _, e_g = grams.exponents
+    lam, alpha_g, S, _ = _signed_reduction(np.ldexp(alpha_f, e_w // 2), grams.A_g, grams.m)
+    sol = EigenSolution(np.ldexp(alpha_g, -e_w // 2), quad_f.eigensolution.gram_condition,
                         f_solution=quad_f.eigensolution, in_f_basis=S)
-    return LebesgueQuadrature(nodes=lam, weights=amplitudes * amplitudes,
-                              amplitudes=amplitudes, eigensolution=sol, grams=grams)
+    return _quadrature(grams, e_g, lam, S.T @ quad_f.amplitudes, sol)

@@ -153,8 +153,10 @@ def test_criterion_09_moment_path_equivalence(scenario_samples):
         basis = basis_for_samples(samples, N)
         direct = reference.direct_grams(samples, basis, N)
         via = accumulate_grams(samples, basis, N)
-        for got, want in ((via.G, direct.G), (via.A_f, direct.A_f),
-                          (via.A_g, direct.A_g)):
+        e_w, e_f, e_g = via.exponents
+        for got, want in ((np.ldexp(via.G, e_w), direct.G),
+                          (np.ldexp(via.A_f, e_w + e_f), direct.A_f),
+                          (np.ldexp(via.A_g, e_w + e_g), direct.A_g)):
             worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
     report("9 moment route matches direct Gram accumulation",
            worst <= 1e-10, f"max rel err {worst:.2e}")

@@ -60,6 +60,15 @@ def test_read_csv_errors_carry_line_numbers(tmp_path):
     path.write_text("x,q,f\n0,1,2\n")
     with pytest.raises(InputDataError, match="line 1"):
         read_samples_csv(str(path))
+    # a repeated name is not read last-wins
+    path.write_text("# c\nx,w,f,g,w\n0,1,2,3,5\n1,1,2,3,5\n")
+    with pytest.raises(InputDataError) as exc:
+        read_samples_csv(str(path))
+    assert str(exc.value) == "line 2: repeated columns ['w']"
+    path.write_text("x,f,f\n0,1,2\n")
+    with pytest.raises(InputDataError) as exc:
+        read_samples_csv(str(path))
+    assert str(exc.value) == "line 1: repeated columns ['f']"
     # the vectorized value checks map the record back to its file line
     path.write_text("# c\nx,w,f\n\n0,1,2\n# c\n1,1,nan\n2,1,3\n")
     with pytest.raises(InputDataError, match="line 6: non-finite value in column 'f'"):
@@ -371,8 +380,6 @@ LOBATTO_NEAR_FLOAT_MAX = b"x,w,f\n" + b"".join(
 
 
 @pytest.mark.parametrize("files, args, line", [
-    ({"in.csv": b"x,f,g\n0.1,1e308,1\n0.5,1.5e308,2\n0.9,1.7e308,3\n"},
-     ["joint", "--input", "in.csv", "--n", "2"], None),
     ({"in.csv": b"x,f,g\n0.1,1,1\n0.5,\xff2,2\n"},
      ["joint", "--input", "in.csv", "--n", "1"], 3),
     ({"in.csv": b"# samples\nx,\xfef,g\n0.1,1,1\n"},
@@ -413,18 +420,11 @@ LOBATTO_NEAR_FLOAT_MAX = b"x,w,f\n" + b"".join(
     ({"in.csv": b"x,w,f\n" + b"".join(b"%r,0.001,%r\n" % (x, np.finfo(float).max)
                                       for x in np.linspace(-1.0, 1.0, 10).tolist())},
      ["quadrature", "--input", "in.csv", "--n", "3"], None),
-    # w f = 1e-600 underflows, so A_f would be all zero
-    ({"in.csv": b"x,w,f\n" + b"".join(b"%r,1e-300,%r\n" % (x, 1e-300 * math.cos(3 * x))
-                                      for x in np.linspace(-1.0, 1.0, 50).tolist())},
-     ["quadrature", "--input", "in.csv", "--n", "8"], None),
-    # subnormal weights leave too few bits in G: f nodes reach -2.2 and 1.03;
-    # at n = 2 the g nodes leave the range of g, and at n = 16 G is rank-deficient
-    *(({"in.csv": b"x,w,f,g\n" + b"".join(b"%r,5e-324,%r,%r\n" % (x, math.cos(3 * x), math.sin(x))
-                                          for x in np.linspace(-1.0, 1.0, 50).tolist())},
-       ["quadrature", "--input", "in.csv", "--n", n], None) for n in ("8", "2", "16")),
-    # every monomial Gram entry is finite, but lambda_max(G) is past the float maximum
-    ({"in.csv": LOBATTO_NEAR_FLOAT_MAX},
-     ["quadrature", "--input", "in.csv", "--n", "8", "--basis", "monomial"], None),
+    # the total measure 2e308 is past the float maximum, though w and G are not
+    *(({"in.csv": b"x,w,f,g\n0,1e308,1,1\n1,1e308,2,0\n"},
+       [command, "--input", "in.csv", "--n", n, "--format", fmt, "--output", "out"], None)
+      for command, n, fmt in (("quadrature", "1", "json"), ("quadrature", "1", "csv"),
+                              ("joint", "1", "json"), ("quadrature", "2", "json"))),
     ({"in.csv": TWO_ATOM_CSV.encode()},
      ["joint", "--input", "in.csv", "--n", "2", "--seed", "5"], None),
     *(pytest.param({}, ["joint", "--scenario", "smooth", "--n", "8", "--format", fmt,
@@ -432,15 +432,15 @@ LOBATTO_NEAR_FLOAT_MAX = b"x,w,f\n" + b"".join(
                    marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
                                             reason="no /dev/full device"))
       for fmt in ("json", "csv")),
-], ids=["gram-overflow", "csv-not-utf8", "csv-header-not-utf8", "csv-not-utf8-line-50000",
+], ids=["csv-not-utf8", "csv-header-not-utf8", "csv-not-utf8-line-50000",
         "rho-not-utf8", "scenario-M-not-int",
         "scenario-seed-not-int", "scenario-not-utf8", "scenario-huge-M",
         "scenario-law-overflow", "output-dir-missing", "input-path-nul", "output-path-nul",
         "epsilon-nan", "epsilon-inf", "epsilon-2", "epsilon-negative",
         "rho-order-negative", "rho-ragged-row", "rho-comment-then-text",
         "rho-nan", "rho-overflow", "joint-overflow", "nodes-past-float-max",
-        "operator-underflow", "nodes-outside-range", "nodes-outside-range-order-2",
-        "gram-subnormal-rank-deficient", "gram-spectrum-past-float-max", "seed-with-input",
+        "weights-past-float-max-json", "weights-past-float-max-csv",
+        "weights-past-float-max-joint", "weight-sum-past-float-max", "seed-with-input",
         "output-full-device-json", "output-full-device-csv"])
 def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     monkeypatch.chdir(tmp_path)
@@ -455,11 +455,75 @@ def test_cli_bad_input_exit_2(tmp_path, monkeypatch, capsys, files, args, line):
     assert captured.out == ""
 
 
+def _grid_csv(w, f, g=None, size=50):
+    """CSV text of ``size`` grid x on [-1, 1], weight w, and f and g, each a
+    function of the list of x."""
+    x = np.linspace(-1.0, 1.0, size).tolist()
+    columns = [x, [w] * size, f(x)] + ([g(x)] if g else [])
+    header = b"x,w,f" + (b",g" if g else b"")
+    return header + b"\n" + b"".join(
+        b",".join(b"%r" % v for v in record) + b"\n" for record in zip(*columns))
+
+
+def _cos3(scale):
+    return lambda x: [scale * math.cos(3 * v) for v in x]
+
+
+def _sin(x):
+    return [math.sin(v) for v in x]
+
+
+# the same file with its weights scaled by 2^-1020, to about 0.9 and 1.8
+LOBATTO_UNIT = LOBATTO_NEAR_FLOAT_MAX.replace(
+    b"1e307", b"%r" % math.ldexp(1e307, -1020)).replace(b"2e307", b"%r" % math.ldexp(2e307, -1020))
+
+
+@pytest.mark.parametrize("csv, twin, args, scales", [
+    # f near the float maximum: the nodes are 1e308 times those of f in [1, 1.7]
+    (b"x,f,g\n0.1,1e308,1\n0.5,1.5e308,2\n0.9,1.7e308,3\n",
+     b"x,f,g\n0.1,1,1\n0.5,1.5,2\n0.9,1.7,3\n", ["joint", "--n", "2"], (1e308, 1.0)),
+    # every product w f is below the float minimum
+    (_grid_csv(1e-300, _cos3(1e-300)), _grid_csv(1.0, _cos3(1.0)),
+     ["quadrature", "--n", "8"], (1e-300,)),
+    (_grid_csv(1e-300, _cos3(1e-20)), _grid_csv(1.0, _cos3(1.0)),
+     ["quadrature", "--n", "8"], (1e-20,)),
+    (_grid_csv(1e300, _cos3(1e10)), _grid_csv(1.0, _cos3(1.0)),
+     ["quadrature", "--n", "8"], (1e10,)),
+    # the smallest subnormal weight: scaled by 2^1074, it is 1
+    *((_grid_csv(5e-324, _cos3(1.0), _sin), _grid_csv(1.0, _cos3(1.0), _sin),
+       ["quadrature", "--n", n], (1.0, 1.0)) for n in ("8", "2", "16")),
+    # every monomial Gram entry is finite, and so is lambda_max(G) once scaled
+    (LOBATTO_NEAR_FLOAT_MAX, LOBATTO_UNIT, ["quadrature", "--n", "8", "--basis", "monomial"],
+     (1.0,)),
+    # 2 x and x_max - x_min are past the float maximum unless x is scaled first
+    (b"x,f\n-1e308,1\n0,2\n1e308,3\n", b"x,f\n-1,1\n0,2\n1,3\n", ["quadrature", "--n", "3"],
+     (1.0,)),
+], ids=["gram-overflow", "operator-underflow", "tiny-w-small-f", "huge-w-large-f",
+        "nodes-outside-range", "nodes-outside-range-order-2", "gram-subnormal-rank-deficient",
+        "gram-spectrum-past-float-max", "x-near-float-max"])
+def test_cli_extreme_scales_solve_as_their_twin(tmp_path, csv, twin, args, scales):
+    # Inputs whose Gram sums would overflow or underflow unscaled: each
+    # column is scaled by a power of two first, so that the nodes are those
+    # of a twin at normal scale, times each process's scale.
+    nodes = []
+    for i, text in enumerate((csv, twin)):
+        path, out = tmp_path / f"in{i}.csv", tmp_path / f"out{i}.json"
+        path.write_bytes(text)
+        assert main([*args, "--input", str(path), "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        nodes.append([np.array(doc[key]["nodes"]) for key in ("quadrature_f", "quadrature_g")
+                      if key in doc])
+    assert len(nodes[0]) == len(nodes[1]) == len(scales)
+    for got, want, scale in zip(*nodes, scales):
+        want = scale * want
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (got, want)
+
+
 @pytest.mark.parametrize("csv, args, nodes", [
     (b"x,w,f,g\n-1,4e307,0.01,0\n0,4e307,0.02,0.01\n1,4e307,0.03,0\n", ["joint", "--n", "2"],
      0.02 + 0.01 * math.sqrt(2 / 3) * np.array([-1.0, 1.0])),
     (b"x,f\n0,1.7e308\n1,0\n", ["quadrature", "--n", "1"], [8.5e307]),
-    # the node-range bound past the float range: inf, not an overflow warning
+    # g at the float maximum, scaled by 2^-1024 before its sums: no overflow warning
     (b"x,f,g\n0.0,0.0,1.7976931348623127e+308\n", ["quadrature", "--n", "1"], [0.0]),
     # the moments route at n = 8 (two multipliers) must not form 2 <T_7 T_7>
     # or m_14 + m_0 = 2.8e308, and C H C^T must not pass max |H|

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import lebquad.moments as moments
 import lebquad.reference as reference
-from lebquad.basis import evaluate_all
+from lebquad.basis import evaluate_all, scale_exponent
 from lebquad import (
     BasisSpec,
     ConditioningError,
@@ -23,6 +23,13 @@ from lebquad import (
 
 def monomial(size, lo=-1.0, hi=1.0):
     return BasisSpec(family=Family.MONOMIAL, size=size, domain=DomainMap(lo, hi))
+
+
+def unscaled(grams):
+    """G, A_f and A_g of the samples as given: each scaled matrix times 2^exponent."""
+    e_w, e_f, e_g = grams.exponents
+    return (np.ldexp(grams.G, e_w), np.ldexp(grams.A_f, e_w + e_f),
+            None if grams.A_g is None else np.ldexp(grams.A_g, e_w + e_g))
 
 
 def test_sampleset_validation():
@@ -55,10 +62,13 @@ def test_two_sample_order_one_grams():
     s = SampleSet(x=np.array([0.0, 1.0]), w=np.ones(2),
                   f=np.array([3.0, 4.0]), g=np.array([5.0, 6.0]))
     grams = accumulate_grams(s, monomial(1, 0.0, 1.0), 1)
-    np.testing.assert_allclose(grams.G, [[2.0]])
-    np.testing.assert_allclose(grams.A_f, [[7.0]])
-    np.testing.assert_allclose(grams.A_g, [[11.0]])
-    np.testing.assert_allclose(grams.m, [2.0])
+    # max w = 1, max f = 4 and max g = 6 scale by 2^0, 2^-2 and 2^-2
+    assert grams.exponents == (0, 2, 2)
+    G, A_f, A_g = unscaled(grams)
+    np.testing.assert_allclose(G, [[2.0]])
+    np.testing.assert_allclose(A_f, [[7.0]])
+    np.testing.assert_allclose(A_g, [[11.0]])
+    np.testing.assert_allclose(np.ldexp(grams.m, grams.exponents[0]), [2.0])
     assert grams.total_measure == 2.0
 
 
@@ -82,21 +92,21 @@ def test_single_sample_moments():
     x, f = np.array([0.3, 0.8]), np.array([4.5, 1.5])
     s = SampleSet(x=x, w=np.ones(2), f=f)
     b = monomial(2, 0.0, 1.0)
-    grams = accumulate_grams(s, b, 2)
+    G, A_f, _ = unscaled(accumulate_grams(s, b, 2))
     t = b.domain(x)
-    np.testing.assert_allclose(grams.G[0], [2.0, t.sum()])
-    np.testing.assert_allclose(grams.G[:, -1], [t.sum(), (t * t).sum()])
-    np.testing.assert_allclose(grams.A_f[0], [f.sum(), (f * t).sum()])
-    np.testing.assert_allclose(grams.A_f[:, -1], [(f * t).sum(), (f * t * t).sum()])
+    np.testing.assert_allclose(G[0], [2.0, t.sum()])
+    np.testing.assert_allclose(G[:, -1], [t.sum(), (t * t).sum()])
+    np.testing.assert_allclose(A_f[0], [f.sum(), (f * t).sum()])
+    np.testing.assert_allclose(A_f[:, -1], [(f * t).sum(), (f * t * t).sum()])
 
 
 def test_riemann_sum_moments():
     M = 10**4
     x = np.linspace(-1, 1, M)
     s = SampleSet(x=x, w=np.full(M, 2.0 / M), f=x)
-    grams = accumulate_grams(s, monomial(2), 2)
-    np.testing.assert_allclose(grams.G[0], [2.0, 0.0], atol=1e-3)
-    np.testing.assert_allclose(grams.G[:, -1], [0.0, 2.0 / 3.0], atol=1e-3)
+    G, _, _ = unscaled(accumulate_grams(s, monomial(2), 2))
+    np.testing.assert_allclose(G[0], [2.0, 0.0], atol=1e-3)
+    np.testing.assert_allclose(G[:, -1], [0.0, 2.0 / 3.0], atol=1e-3)
 
 
 def test_grams_from_moments_matches_direct(two_atom):
@@ -164,9 +174,10 @@ def test_weight_scaling_by_powers_of_two_is_bit_exact(log2c, seed):
     b = monomial(3)
     g1 = accumulate_grams(s, b, 3)
     g2 = accumulate_grams(SampleSet(s.x, s.w * c, s.f, s.g), b, 3)
-    np.testing.assert_array_equal(g2.G, c * g1.G)
-    np.testing.assert_array_equal(g2.A_f, c * g1.A_f)
-    np.testing.assert_array_equal(g2.m, c * g1.m)
+    (G1, A1, _), (G2, A2, _) = unscaled(g1), unscaled(g2)
+    np.testing.assert_array_equal(G2, c * G1)
+    np.testing.assert_array_equal(A2, c * A1)
+    np.testing.assert_array_equal(G2[0], c * G1[0])
     assert g2.total_measure == c * g1.total_measure
 
 
@@ -179,11 +190,12 @@ def test_weight_scaling_general_factor(c, seed):
     b = monomial(3)
     g1 = accumulate_grams(s, b, 3)
     g2 = accumulate_grams(SampleSet(s.x, s.w * c, s.f, s.g), b, 3)
+    (G1, A1, _), (G2, A2, _) = unscaled(g1), unscaled(g2)
     # Norm-wise, against the sum of absolute terms (for G its largest
     # entry): an entry that is a cancelling sum carries an elementwise
     # relative error far above the rounding of its terms.
-    assert np.abs(g2.G - c * g1.G).max() <= 1e-14 * np.abs(c * g1.G).max()
-    assert np.abs(g2.A_f - c * g1.A_f).max() <= 1e-14 * c * np.sum(s.w * np.abs(s.f))
+    assert np.abs(G2 - c * G1).max() <= 1e-14 * np.abs(c * G1).max()
+    assert np.abs(A2 - c * A1).max() <= 1e-14 * c * np.sum(s.w * np.abs(s.f))
     assert g2.total_measure == pytest.approx(c * g1.total_measure, rel=1e-14)
 
 
@@ -197,6 +209,24 @@ def test_zero_weight_sample_changes_nothing():
     g2 = accumulate_grams(s2, b, 3)
     np.testing.assert_array_equal(g1.G, g2.G)
     np.testing.assert_array_equal(g1.A_f, g2.A_f)
+
+
+def test_spans_skip_zero_weights():
+    # zero weights scattered, in one long run, and at the extremes of every column
+    rng = np.random.default_rng(3)
+    M = 200_000
+    x, f, g = rng.standard_normal((3, M))
+    w = rng.uniform(0.5, 1.5, M)
+    w[rng.random(M) < 0.1] = 0.0
+    w[70_000:140_000] = 0.0
+    for arr in (x, f, g):
+        arr[[5, 70_001, 150_000]] = (-1e300, 1e300, -1e300)
+    w[[5, 150_000]] = 0.0
+    s = SampleSet(x=x, w=w, f=f, g=g)
+    positive = w > 0
+    for name, arr in (("x", x), ("f", f), ("g", g)):
+        assert s.spans[name] == (arr[positive].min(), arr[positive].max())
+    assert s.spans["w"] == (0.0, w.max())
 
 
 def test_gram_is_psd(scenario_samples):
@@ -363,6 +393,21 @@ def test_workspace_is_freed_before_the_grams_are_assembled(monkeypatch):
     assert held - before < workspace / 8
 
 
+def test_legendre_gram_assembly_peak_is_under_eight_n_squared():
+    # C H C^T with H freed before the second product and the upper triangle
+    # mirrored down in place: about 7 n^2 doubles (C, C H and the Grams)
+    n, M = 600, 2400
+    x = np.linspace(-1.0, 1.0, M)
+    s = SampleSet(x=x, w=np.ones(M), f=np.sin(3 * x), g=np.cos(x))
+    tracemalloc.start()
+    try:
+        accumulate_grams(s, BasisSpec(Family.LEGENDRE, n, DomainMap(-1, 1)), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (8 * n * n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 8, 64])
 def test_chebyshev_coefficients_reproduce_each_family(n):
     x = np.concatenate([[-1.0, 1.0], np.random.default_rng(4).uniform(-1.0, 1.0, 200)])
@@ -395,13 +440,15 @@ def test_recovered_moments_match_direct_sums(monkeypatch, n):
                   f=np.sin(3 * x), g=np.cos(x) - 0.5)
     domain = DomainMap(-2.0, 3.0)
     T = evaluate_all(BasisSpec(Family.CHEBYSHEV, 2 * n - 1, domain), x)
-    units = np.stack([s.w, s.w * s.f, s.w * s.g])
+    exponents = tuple(scale_exponent(*s.spans[name]) for name in "wfg")
+    w, f, g = (np.ldexp(getattr(s, name), e) for name, e in zip("wfg", exponents))
+    units = np.stack([w, w * f, w * g])
     direct = units @ T.T
     scale = np.abs(units).sum(axis=1, keepdims=True)  # |T_j| <= 1 on the domain
     for h, P in _splits(n):
         assert h * P >= 2 * n - 2
         monkeypatch.setattr(moments, "_split", lambda n, split=(h, P): split)
-        m = moments._chebyshev_moments(s, domain, n, True)
+        m = moments._chebyshev_moments(s, domain, n, True, exponents)
         assert m.shape == (3, h * P + 1)
         assert (np.abs(m[:, :2 * n - 1] - direct) <= 1e-14 * scale).all(), (h, P)
 
@@ -447,14 +494,19 @@ def test_order_above_memory_bound_rejected_before_evaluation(monkeypatch):
 
 
 @pytest.mark.parametrize("process", ["f", "g"])
-def test_operator_underflowed_to_zero_is_an_input_error(process):
-    # every product w f is below the float minimum, so A_f would be all zero
+def test_operator_below_the_float_minimum_solves_with_scaled_nodes(process):
+    # every product w f is below the float minimum, but w and f are each
+    # scaled to [1/2, 2) first: the nodes are 1e-300 times those of w = 1
     x = np.linspace(-1.0, 1.0, 50)
     values = {"f": np.cos(3 * x), "g": np.sin(x)}
+    unit = analyze(SampleSet(x=x, w=np.ones(50), **values), 8)
     values[process] = 1e-300 * values[process]
-    samples = SampleSet(x=x, w=np.full(50, 1e-300), **values)
-    with pytest.raises(InputDataError, match=f"A_{process} underflows to zero"):
-        accumulate_grams(samples, BasisSpec(Family.CHEBYSHEV, 8, DomainMap(-1, 1)), 8)
+    tiny = analyze(SampleSet(x=x, w=np.full(50, 1e-300), **values), 8)
+    for name in "fg":
+        got, want = getattr(tiny, f"quad_{name}").nodes, getattr(unit, f"quad_{name}").nodes
+        if name == process:
+            want = 1e-300 * want
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_operator_zero_by_cancellation_or_zero_process_is_kept(two_atom):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lebquad import (
     BasisSpec,
@@ -71,6 +73,14 @@ def test_rank_deficient_gram_reported():
     with pytest.raises(ConditioningError) as err:
         _solve(np.eye(2), G)
     assert err.value.effective_rank == 1
+
+
+def test_operator_overflow_needs_an_epsilon_below_the_float_range():
+    # epsilon = 0 keeps s_min = 1e-310 of a G whose lambda_max is 1, so
+    # Y = U s^-1/2 reaches 1e155 and Y^T A Y overflows for |A| = 1
+    grams = GramSet(G=np.diag([1.0, 1e-310]), A_f=np.ones((2, 2)))
+    with pytest.raises(InputDataError, match="operator overflows in the Gram eigenbasis"):
+        lebesgue_quadrature(grams, grams.A_f, epsilon=0.0)
 
 
 def test_two_atom_quadrature(two_atom):
@@ -220,13 +230,13 @@ def test_hard_cap_at_effective_rank():
 
 
 def test_subnormal_measure_solves():
-    # a Gram in the subnormal range makes Y = U s^-1/2 huge; the operator's
-    # scaling must keep Y^T A Y finite there as well
+    # subnormal weights are scaled to 1 before the Gram sums, so that G is
+    # never subnormal: the nodes are those of w = 1, bit for bit
     x = np.linspace(-1.0, 1.0, 50)
     f = np.cos(3 * x)
     unit = analyze(SampleSet(x=x, w=np.ones(50), f=f), n=4).quad_f.nodes
     tiny = analyze(SampleSet(x=x, w=np.full(50, 2.0**-1040), f=f), n=4).quad_f.nodes
-    np.testing.assert_allclose(tiny, unit, rtol=1e-6)
+    np.testing.assert_array_equal(tiny, unit)
 
 
 def _reference_signs(alpha, m, total):
@@ -291,3 +301,41 @@ def test_sign_rule_fallback_on_zero_amplitudes(family):
     result = analyze(s, n=6, family=family)
     fallback_f, fallback_g = _assert_signed_as_reference(result)
     assert len(fallback_f) == 3 and len(fallback_g) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), family=st.sampled_from(list(Family)),
+       d=st.integers(-1000, 1000), a=st.integers(-500, 500).map(lambda k: 2 * k),
+       b=st.integers(-1000, 1000), c=st.integers(-1000, 1000))
+def test_power_of_two_scaling_is_bit_exact(seed, n, family, d, a, b, c):
+    # x by 2^d, w by 2^a (a even), f by 2^b and g by 2^c: the f nodes scale
+    # by 2^b, the g nodes by 2^c, the weights by 2^a, the amplitudes by
+    # 2^(a/2) and alpha by 2^(-a/2), bit for bit; S and everything else stay
+    rng = np.random.default_rng(seed)
+    M = 2 * n + 4
+    w = rng.uniform(0.5, 1.5, M) * (rng.random(M) > 0.2)
+    w[:n] = 1.0  # at least n samples of positive weight
+    columns = (rng.uniform(-1.0, 1.0, M), w, rng.standard_normal(M), rng.standard_normal(M))
+    scaled = [np.ldexp(v, k) for v, k in zip(columns, (d, a, b, c))]
+    # a subnormal input has lost bits before the library reads it
+    assume(all((np.abs(v[v != 0]) >= np.finfo(float).tiny).all() for v in scaled))
+
+    def outcome(x, w, f, g):
+        try:
+            return analyze(SampleSet(x=x, w=w, f=f, g=g), n, family)
+        except ConditioningError as exc:
+            return str(exc)
+
+    base, result = outcome(*columns), outcome(*scaled)
+    if isinstance(base, str):
+        assert result == base
+        return
+    assert result.grams.total_measure == np.ldexp(base.grams.total_measure, a)
+    for quad, twin, k in ((result.quad_f, base.quad_f, b), (result.quad_g, base.quad_g, c)):
+        np.testing.assert_array_equal(quad.nodes, np.ldexp(twin.nodes, k))
+        np.testing.assert_array_equal(quad.weights, np.ldexp(twin.weights, a))
+        np.testing.assert_array_equal(quad.amplitudes, np.ldexp(twin.amplitudes, a // 2))
+        np.testing.assert_array_equal(quad.eigensolution.alpha,
+                                      np.ldexp(twin.eigensolution.alpha, -a // 2))
+        assert quad.eigensolution.gram_condition == twin.eigensolution.gram_condition
+    np.testing.assert_array_equal(result.projection(), base.projection())

@@ -95,6 +95,22 @@ def recurrence_coefficients(family: Family, size: int) -> tuple[np.ndarray, np.n
     return a, c
 
 
+def _chebyshev_coefficients(family: Family, n: int) -> np.ndarray:
+    """C[k, j], k, j < n: Q_k = sum_j C[k, j] T_j, lower triangular, by the
+    family's recurrence and t T_j = (T_{j+1} + T_{|j-1|}) / 2; exactly I for Chebyshev."""
+    C = np.zeros((n, n))
+    C[0, 0] = 1.0
+    for k, (scale, lag) in enumerate(_recurrence_steps(family, n)[1]):
+        row, nxt = C[k], C[k + 1]
+        nxt[1:] = row[:-1]
+        nxt[:-1] += row[1:]
+        nxt[1] += row[0]
+        nxt *= 0.5 * scale
+        if lag:  # c_0 = 0, so C[k - 1] is read from k = 1 on
+            nxt -= lag * C[k - 1]
+    return C
+
+
 @lru_cache(maxsize=8)
 def _recurrence_steps(family: Family, size: int) -> tuple[float, tuple[tuple[float, float], ...]]:
     """(fold, steps) of Q_{k+1} = (t Q_k) / a_k - (c_k / a_k) Q_{k-1}, as

@@ -67,12 +67,14 @@ def _load_samples(args):
 
 
 def _write(args, result, joint_matrices=()):
-    """Writes the results to --output, opened only now, or to standard output."""
+    """Writes the results to --output, opened once any JSON document is built, or to stdout."""
+    doc = (lio.result_document(result, args.epsilon, joint_matrices)
+           if args.format == "json" else None)
     try:
         with (open(args.output, "w", encoding="utf-8") if args.output
               else nullcontext(sys.stdout)) as out:
-            if args.format == "json":
-                lio.write_json(out, lio.result_document(result, args.epsilon, joint_matrices))
+            if doc is not None:
+                lio.write_json(out, doc)
             else:
                 lio.write_csv(out, result, joint_matrices)
             out.flush()

@@ -12,10 +12,12 @@ from itertools import islice
 
 import numpy as np
 
+from .basis import Family, _chebyshev_coefficients
 from .errors import InputDataError
 from .moments import SampleSet
 
 FLOAT_FMT = "%.17g"
+_SAMPLE_BLOCK = 4096  # rows of samples formatted at once by write_samples_csv
 
 
 def _open(path: str, mode: str, **kwargs):
@@ -185,9 +187,15 @@ def read_samples_csv(path: str) -> SampleSet:
 
 
 def write_samples_csv(path: str, samples: SampleSet) -> None:
+    """np.savetxt's bytes (FLOAT_FMT, header x,w,f[,g]), one %-format per block."""
     names = ["x", "w", "f"] + (["g"] if samples.has_g else [])
-    np.savetxt(path, np.column_stack([getattr(samples, c) for c in names]),
-               fmt=FLOAT_FMT, delimiter=",", header=",".join(names), comments="")
+    row = ",".join([FLOAT_FMT] * len(names)) + "\n"
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(",".join(names) + "\n")
+        for start in range(0, samples.size, _SAMPLE_BLOCK):
+            block = np.column_stack([getattr(samples, c)[start:start + _SAMPLE_BLOCK]
+                                     for c in names])
+            out.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_spectral_rho(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -211,12 +219,21 @@ def _rho_columns(lineno: int | None, first: str) -> range:
     return range(1, n + 1)
 
 
-def quadrature_payload(quad) -> dict:
+def quadrature_payload(quad, family: Family) -> dict:
+    """JSON fields of ``quad``, alpha over Q_k of ``family`` (C^-T alpha, C the
+    Chebyshev coefficients of Q_k); past the float maximum, an InputDataError."""
+    alpha = quad.eigensolution.alpha
+    if family is not Family.CHEBYSHEV:
+        C = _chebyshev_coefficients(family, len(alpha))
+        # a monomial C[k, k] = 2^(1-k) is 0 from k = 1076 on, and alpha_Q past the float maximum
+        alpha = np.linalg.solve(C.T, alpha) if C.diagonal().all() else np.inf
+        if not np.isfinite(alpha).all():
+            raise InputDataError(f"alpha past the float maximum in the {family.value} basis")
     return {
         "nodes": quad.nodes,
         "weights": quad.weights,
         "amplitudes": quad.amplitudes,
-        "alpha": quad.eigensolution.alpha,
+        "alpha": alpha,
     }
 
 
@@ -247,10 +264,10 @@ def result_document(result, epsilon: float, joint_matrices=()) -> dict:
             "epsilon": epsilon,
             "residuals": residuals,
         },
-        "quadrature_f": quadrature_payload(result.quad_f),
+        "quadrature_f": quadrature_payload(result.quad_f, result.basis.family),
     }
     if result.quad_g is not None:
-        doc["quadrature_g"] = quadrature_payload(result.quad_g)
+        doc["quadrature_g"] = quadrature_payload(result.quad_g, result.basis.family)
     if joint_matrices:
         doc["joint"] = [joint_payload(m, result) for m in joint_matrices]
     return doc

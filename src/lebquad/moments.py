@@ -1,16 +1,16 @@
 """Sample ingestion and moment-based Gram assembly.
 
-Every Gram and operator matrix <Q_j Q_k>, <Q_j f Q_k>, <Q_j g Q_k> of order
-n follows from the 2n - 1 Chebyshev moments <T_i>, <f T_i>, <g T_i>,
-i <= 2n - 2, whatever the family, since T_a T_b = (T_{a+b} + T_{|a-b|}) / 2.
+Every Gram and operator matrix is over the Chebyshev T_k, whatever the
+family, whose pencil is the same (:func:`io.quadrature_payload` re-expresses
+alpha). Each of order n follows from the 2n - 1 Chebyshev moments <T_i>,
+<f T_i>, <g T_i>, i <= 2n - 2, since T_a T_b = (T_{a+b} + T_{|a-b|}) / 2.
 :func:`accumulate_grams`, the one Gram route, reads the samples once, in
 chunks, reducing them to those moments with a two-level product
 (:func:`_chebyshev_moments`): about 2n / P + 1 Chebyshev rows times P
 multiplier rows, P about sqrt(n), in place of n basis rows (O(M n) time,
 O(chunk sqrt(n)) memory), with w, f and g scaled by exact powers of two
-(:func:`accumulate_grams`). Each Chebyshev Gram is then the matrix
-H[a, b] = m_{a+b} / 2 + m_{|a-b|} / 2, and any other family's is C H C^T,
-C its Chebyshev coefficients (:func:`_grams_from_moments`, O(n^3)). A
+(:func:`accumulate_grams`). Each Gram is then the matrix
+H[a, b] = m_{a+b} / 2 + m_{|a-b|} / 2 (:func:`_grams_from_moments`, O(n^2)). A
 chunk's working set, its rows plus the operand they are reduced against, is
 kept to about 1 MiB, so that it stays in L2 cache, but a chunk holds at
 least 4096 samples (see _CHUNK_ELEMENTS). Every chunk is evaluated into one
@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (BasisSpec, DomainMap, Family, evaluate_all, recurrence_coefficients,
-                    scale_exponent)
+from .basis import BasisSpec, DomainMap, Family, evaluate_all, scale_exponent
 from .errors import ConditioningError, ConfigurationError, InputDataError
 
 # A chunk's working set, its rows (the block of Chebyshev rows, the
@@ -56,12 +55,10 @@ _CHUNK_SAMPLES = 4096
 # and so did every offset of the recurrence's one scratch row.
 _LINE = 64
 
-# n x n float64 arrays alive at once at an order-n run's peak: the three Grams,
-# their assembly, the eigensolvers' arrays, the joint estimates and the writer's
-# rows; the moment pass's workspace is freed before the Grams are assembled.
-# `lebquad joint`, all four kinds, JSON or CSV (smooth laws, M = 4e4, n = 1000, 1500),
-# peaked at 9.4-12.9 of them above its RSS before analyze (Chebyshev) and 9.4-13.0
-# (Legendre, whose C H C^T assembly holds about 7 of them at its own peak).
+# n x n float64 arrays alive at once at an order-n run's peak: the three Grams, their assembly, the
+# eigensolvers' arrays, the joint estimates and the writer's rows; the moment pass's workspace is
+# freed before the Grams are assembled. `lebquad joint`, all four kinds, JSON or CSV (smooth laws,
+# M = 4e4, n = 1000, 1500), peaked at 9.4-12.9 of them above its RSS before analyze.
 _SQUARE_ARRAYS = 16
 
 
@@ -115,10 +112,11 @@ class SampleSet:
         object.__setattr__(self, "support_size", int(np.count_nonzero(w)))  # w >= 0 here
         if not self.support_size:
             raise InputDataError("total measure must be positive")
-        positive = True if self.support_size == x.size else w > 0  # a mask is ~14x slower
-        spans = {name: (float(np.min(arr, where=positive, initial=np.inf)),
-                        float(np.max(arr, where=positive, initial=-np.inf)))
-                 for name, arr in columns if name != "w"}
+        positive = None if self.support_size == x.size else w > 0
+        spans = {}
+        for name, arr in columns[:1] + columns[2:]:  # a masked reduction is ~3x slower
+            kept = arr if positive is None else arr[positive]  # one column at a time
+            spans[name] = (float(kept.min()), float(kept.max()))
         # w's largest is its largest where w > 0; nothing reads its smallest
         object.__setattr__(self, "spans", {"w": (0.0, float(w.max())), **spans})
         for name, arr in (("x", x), ("w", w), ("f", f), ("g", g)):
@@ -137,10 +135,10 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class GramSet:
-    """Gram and operator matrices of a SampleSet in a given basis, scaled:
-    with (e_w, e_f, e_g) = ``exponents``, G = <Q_j Q_k> 2^-e_w,
-    A_f = <Q_j f Q_k> 2^-(e_w + e_f) and A_g = <Q_j g Q_k> 2^-(e_w + e_g).
-    Row 0 of G is the moment vector <Q_k>, scaled as G."""
+    """Gram and operator matrices of a SampleSet, over T_k whatever the family
+    (:func:`accumulate_grams`), scaled: with (e_w, e_f, e_g) = ``exponents``,
+    G = <T_j T_k> 2^-e_w, A_f = <T_j f T_k> 2^-(e_w + e_f) and
+    A_g = <T_j g T_k> 2^-(e_w + e_g). Row 0 of G is the moment vector <T_k>."""
 
     G: np.ndarray
     A_f: np.ndarray
@@ -167,7 +165,8 @@ class GramSet:
 
 
 def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
-    """Gram and operator matrices of order n over Q_0 .. Q_{n-1} of ``basis``.
+    """Gram and operator matrices of order n over T_0 .. T_{n-1} on
+    ``basis.domain``, whatever ``basis.family`` (it reads domain and size).
 
     Orders above the number of positive-weight samples are rejected before
     anything n-sized is allocated: such a Gram matrix cannot have full rank.
@@ -181,9 +180,7 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
     m_j = sum u T_j(t), j = 0 .. 2n-2, of each scaled measure u in
     [w, w f, w g], whatever the family
     (:func:`_chebyshev_moments`, whose workspace is freed on return). Each
-    Chebyshev Gram is H[a, b] = m_{a+b} / 2 + m_{|a-b|} / 2; with
-    Q_k = sum_j C[k, j] T_j (:func:`_chebyshev_coefficients`), any other
-    family's is C H C^T (:func:`_grams_from_moments`).
+    Gram is H[a, b] = m_{a+b} / 2 + m_{|a-b|} / 2 (:func:`_grams_from_moments`).
     """
     if n < 1:
         raise ConfigurationError(f"order must be >= 1, got {n}")
@@ -203,7 +200,7 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
         )
     exponents = tuple(scale_exponent(*samples.spans.get(name, (0.0, 0.0))) for name in "wfg")
     m = _chebyshev_moments(samples, basis.domain, n, support < samples.size, exponents)
-    G, A_f, *A_g = _grams_from_moments(m[:, :2 * n - 1], basis.family)
+    G, A_f, *A_g = _grams_from_moments(m[:, :2 * n - 1])
     return GramSet(G=G, A_f=A_f, A_g=A_g[0] if A_g else None, exponents=exponents)
 
 
@@ -304,34 +301,10 @@ def _workspace(h: int, P: int, measures: int,
     return rows[:counts[0]], rows[counts[0]:-counts[2]], rows[-counts[2]:]
 
 
-def _chebyshev_coefficients(family: Family, n: int) -> np.ndarray:
-    """C[k, j], k, j < n: Q_k = sum_j C[k, j] T_j, lower triangular.
-
-    From Q_{k+1} = (t Q_k - c_k Q_{k-1}) / a_k and
-    t T_j = (T_{j+1} + T_{|j-1|}) / 2. Every step is exact for the Chebyshev
-    family, whose C is I.
-    """
-    a, c = recurrence_coefficients(family, n)
-    scales, lags = (0.5 / a[:-1]).tolist(), (c[:-1] / a[:-1]).tolist()
-    C = np.zeros((n, n))
-    C[0, 0] = 1.0
-    for k, (scale, lag) in enumerate(zip(scales, lags)):
-        row, nxt = C[k], C[k + 1]
-        nxt[1:] = row[:-1]
-        nxt[:-1] += row[1:]
-        nxt[1] += row[0]
-        nxt *= scale
-        if lag:  # c_0 = 0, so C[k - 1] is read from k = 1 on
-            nxt -= lag * C[k - 1]
-    return C
-
-
-def _grams_from_moments(m: np.ndarray, family: Family) -> np.ndarray:
-    """Each measure's Gram <Q_j Q_k u>, j, k < n, from its Chebyshev moments
-    m[u, i], i <= 2n - 2: for Chebyshev H[u, a, b] = m_{a+b} / 2 + m_{|a-b|} / 2,
-    bit-symmetric and finite wherever the moments are, else C H C^T, its
-    upper triangle mirrored down in place; the rows of C are non-negative and
-    sum to 1, so that |C H C^T| <= max |H|."""
+def _grams_from_moments(m: np.ndarray) -> np.ndarray:
+    """Each measure's Chebyshev Gram <T_j T_k u>, j, k < n, from its moments
+    m[u, i], i <= 2n - 2: H[u, a, b] = m_{a+b} / 2 + m_{|a-b|} / 2,
+    bit-symmetric and finite wherever the moments are."""
     n = (m.shape[-1] + 1) // 2
     half = 0.5 * m
     mirrored = np.concatenate((half[:, n - 1:0:-1], half[:, :n]), axis=-1)  # half_{|i-n+1|}
@@ -339,13 +312,4 @@ def _grams_from_moments(m: np.ndarray, family: Family) -> np.ndarray:
     hankel = np.ndarray(half.shape[:1] + (n, n), buffer=half, strides=half.strides + (8,))
     toeplitz = np.ndarray(hankel.shape, buffer=mirrored, offset=8 * (n - 1),
                           strides=mirrored.strides + (-8,))
-    H = hankel + toeplitz
-    if family is Family.CHEBYSHEV:  # C is I
-        return H
-    C = _chebyshev_coefficients(family, n)
-    H = C @ H  # one product at a time, each freeing its operand: at most 7 n^2 doubles
-    H = H @ C.T
-    lower = np.tri(n, k=-1, dtype=bool)
-    for M in H:  # bit-symmetric: the upper triangle mirrored down, in place
-        np.copyto(M, M.T.copy(), where=lower)
-    return H
+    return hankel + toeplitz

@@ -24,7 +24,7 @@ _AMPLITUDE_TOL = 1e-12
 class EigenSolution:
     """G-orthonormal eigenvectors of A alpha = lambda G alpha, by ascending node."""
 
-    alpha: np.ndarray  # column i is the coefficient vector over Q_k
+    alpha: np.ndarray  # column i: its coefficients over T_k (as grams), whatever the family
     gram_condition: float  # cond(G), by which the whitening amplifies rounding
     # for a solution from lebesgue_quadrature_in_f_basis: the f solution it
     # was solved in, and column i over its eigenfunctions, the projection S
@@ -108,7 +108,7 @@ def _signed_reduction(Y: np.ndarray, A: np.ndarray, m: np.ndarray):
     """Eigenpairs of A in the G-orthonormal basis Y: (eigenvalues, alpha = Y B,
     B, amplitudes alpha^T m), each column signed so that its amplitude is
     non-negative. A column of (numerically) zero amplitude makes its first
-    nonzero coefficient positive.
+    nonzero Chebyshev coefficient positive.
     """
     lam, B = _reduced_eigh(Y, A)
     alpha = Y @ B

@@ -7,16 +7,18 @@ import os
 import sys
 import tempfile
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lebquad import InputDataError, SampleSet, analyze, datagen, selftest
+from lebquad import Family, InputDataError, SampleSet, analyze, datagen, reference, selftest
 from lebquad.cli import main
 from lebquad.io import (
     dumps_json,
+    quadrature_payload,
     read_samples_csv,
     read_spectral_rho,
     result_document,
@@ -164,6 +166,20 @@ def test_csv_write_read_roundtrip(tmp_path, scenario_samples):
     np.testing.assert_array_equal(back.g, samples.g)
 
 
+@pytest.mark.parametrize("M, with_g", [(10_000, True), (4097, False), (1, True)])
+def test_write_samples_csv_bytes_equal_savetxt(tmp_path, M, with_g):
+    rng = np.random.default_rng(M)
+    x = rng.standard_normal(M)
+    samples = SampleSet(x=x, w=rng.uniform(0.0, 2.0, M), f=np.sin(x) * 1e-300,
+                        g=np.cos(x) * 1e300 if with_g else None)
+    names = ["x", "w", "f"] + (["g"] if with_g else [])
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    write_samples_csv(str(ours), samples)
+    np.savetxt(str(theirs), np.column_stack([getattr(samples, c) for c in names]),
+               fmt="%.17g", delimiter=",", header=",".join(names), comments="")
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
 def _write_sample_csv(path, M: int) -> int:
     """Writes M rows x,w,f,g to path; returns the bytes of their parsed table."""
     rng = np.random.default_rng(4)
@@ -264,6 +280,111 @@ def test_cli_quadrature_json(two_atom_csv, tmp_path, capsys):
     doc = json.loads(out.read_text())
     np.testing.assert_allclose(doc["quadrature_f"]["nodes"], [-1.0, 1.0], atol=1e-9)
     np.testing.assert_allclose(doc["quadrature_f"]["weights"], [1.0, 1.0], atol=1e-9)
+
+
+def _dyadic(values):
+    """(integers, e) with values[i] = integers[i] / 2^e exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    e = max(d.bit_length() - 1 for _, d in ratios)
+    return [p << (e - d.bit_length() + 1) for p, d in ratios], e
+
+
+def _monomial_values_exactly(alpha, t):
+    """psi[l, i] = sum_k alpha[k, i] t_l^k, summed exactly by Horner's rule
+    over the integers (every double is a dyadic rational), rounded once."""
+    n = alpha.shape[0]
+    T, s = _dyadic(t.tolist())
+    psi = np.empty((len(T), alpha.shape[1]))
+    for i, column in enumerate(alpha.T.tolist()):
+        A, e = _dyadic(column)
+        for l, tl in enumerate(T):
+            acc = A[-1]
+            for k in range(n - 2, -1, -1):
+                acc = acc * tl + (A[k] << s * (n - 1 - k))
+            psi[l, i] = acc / (1 << e + s * (n - 1))
+    return psi
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("family", ["legendre", "monomial"])
+def test_json_alpha_is_orthonormal_over_its_family(family, n):
+    # JSON alpha is over Q_k of --basis: alpha_Q^T G_Q alpha_Q = I and
+    # alpha_Qf^T G_Q alpha_Qg = S, G_Q the family's Gram as direct sums. For
+    # monomials the sums are formed exactly over the eigenfunctions' values:
+    # their alpha grows like cond(C), 6e9 at n = 32, and G_Q in doubles would
+    # lose every digit. Doubles carry alpha_Q, and so psi, only to about
+    # eps sum_k |alpha_Q[k]| (|Q_k| <= 1), which at n = 32 is above 1e-8.
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-2.0, 3.0, 300)
+    samples = SampleSet(x=x, w=rng.uniform(0.1, 1.0, 300), f=np.sin(3 * x), g=np.cos(2 * x))
+    result = analyze(samples, n=n, family=family)
+    doc = json.loads(dumps_json(result_document(result, 1e-12)))
+    assert doc["meta"]["basis"] == family
+    alpha_f, alpha_g = (np.array(doc[f"quadrature_{p}"]["alpha"]) for p in "fg")
+    if family == "monomial":
+        t = result.basis.domain(samples.x)
+        psi_f, psi_g = (_monomial_values_exactly(a, t) * np.sqrt(samples.w)[:, None]
+                        for a in (alpha_f, alpha_g))
+        forms = (psi_f.T @ psi_f, psi_g.T @ psi_g, psi_f.T @ psi_g)
+    else:
+        G = reference.direct_grams(samples, result.basis, n).G
+        forms = (alpha_f.T @ G @ alpha_f, alpha_g.T @ G @ alpha_g, alpha_f.T @ G @ alpha_g)
+    kappa = max(np.abs(alpha_f).sum(axis=0).max(), np.abs(alpha_g).sum(axis=0).max())
+    # sum_l w_l |psi_l| <= sqrt(<1>) for a psi of unit norm
+    tol = 1e-8 + 2 * np.finfo(float).eps * kappa * math.sqrt(samples.w.sum())
+    for form, want in zip(forms, (np.eye(n), np.eye(n), result.projection())):
+        assert np.abs(form - want).max() <= tol
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("name", datagen.builtin_scenario_names())
+def test_cli_monomial_at_high_order_exit_0(scenario_samples, tmp_path, name, n):
+    # the rank test reads the Chebyshev G whatever the family, so monomials
+    # solve wherever Chebyshev does; JSON alpha over t^k stays finite here
+    out = tmp_path / "out.json"
+    assert main(["joint", "--scenario", name, "--n", str(n), "--basis", "monomial",
+                 "--kinds", ",".join(KINDS), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text(), parse_constant=_not_a_number)
+    result = analyze(scenario_samples[name], n=n, family="monomial")
+    np.testing.assert_array_equal(doc["quadrature_f"]["nodes"], result.quad_f.nodes)
+    np.testing.assert_array_equal(doc["joint"][0]["matrix"], result.correlation(KINDS[0]).W)
+    failed = [(label, err) for label, err, tol in selftest.identity_rows(result)
+              if not err <= tol]
+    assert not failed
+
+
+@pytest.mark.parametrize("command", ["quadrature", "joint"])
+def test_cli_monomial_alpha_past_float_max_exit_2(tmp_path, capsys, command):
+    # 700 Chebyshev points: the Chebyshev G of order 350 has condition 2, but
+    # alpha over t^k grows about 4x a degree here (8e283 at n = 300), and
+    # weights of 1e-300 make alpha_T about 1e150: at n = 350 it passes the
+    # float maximum
+    n, M = 350, 700
+    x = np.cos(np.pi * (np.arange(M) + 0.5) / M)
+    path, out = tmp_path / "in.csv", tmp_path / "out"
+    write_samples_csv(str(path), SampleSet(x=x, w=np.full(M, 1e-300), f=np.sin(3 * x), g=x))
+    out.write_text("kept\n")
+    args = [command, "--input", str(path), "--n", str(n), "--basis", "monomial",
+            "--output", str(out)] + (["--kinds", "value"] if command == "joint" else [])
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: alpha past the float maximum in the monomial basis"]
+    assert out.read_text() == "kept\n"
+    assert main(args + ["--format", "csv"]) == 0
+    for line in out.read_text().splitlines()[1:]:
+        for value in line.split(",")[4:]:
+            _finite(value)
+
+
+@pytest.mark.parametrize("n", [1076, 1077])
+def test_monomial_alpha_where_c_is_singular_is_an_input_error(n):
+    # the monomial C[k, k] = 2^(1-k) is 0 from k = 1076 on, where C^T has no
+    # solve: alpha over t^k is past the float maximum, not a LinAlgError
+    quad = types.SimpleNamespace(nodes=np.zeros(n), weights=np.ones(n), amplitudes=np.ones(n),
+                                 eigensolution=types.SimpleNamespace(alpha=np.eye(n)))
+    with pytest.raises(InputDataError) as exc:
+        quadrature_payload(quad, Family.MONOMIAL)
+    assert str(exc.value) == "alpha past the float maximum in the monomial basis"
 
 
 def test_cli_gauss_nodes(tmp_path):
@@ -566,12 +687,15 @@ def test_cli_zero_f_has_zero_nodes(tmp_path):
     (lambda x: np.full(x.size, -5.0), lambda x: x, "f"),
 ], ids=["two-valued-f-constant-g", "constant-f"])
 def test_cli_constant_process_at_high_condition_exit_0(tmp_path, f, g, constant):
-    # monomials of order 16 on a grid give cond(G) near 5e10, and every node
-    # of a constant process sits on the edge of its range; rounding moves
-    # them past it by about 1e-6 of the constant, which is no loss of precision
+    # a Gaussian weight exp(-24 x^2) on a grid gives the Chebyshev G of order
+    # 16, which every family solves in, cond(G) near 5e10, and every node of a
+    # constant process sits on the edge of its range; rounding moves them past
+    # it by about 4e-6 of the constant, which is no loss of precision
     x = np.linspace(-1.0, 1.0, 2000)
     path, out = tmp_path / "in.csv", tmp_path / "out.json"
-    write_samples_csv(str(path), SampleSet(x=x, w=np.ones(x.size), f=f(x), g=g(x)))
+    samples = SampleSet(x=x, w=np.exp(-24 * x * x), f=f(x), g=g(x))
+    assert analyze(samples, n=16).quad_f.eigensolution.gram_condition > 1e10
+    write_samples_csv(str(path), samples)
     assert main(["quadrature", "--input", str(path), "--n", "16", "--basis", "monomial",
                  "--output", str(out)]) == 0
     nodes = np.array(json.loads(out.read_text())[f"quadrature_{constant}"]["nodes"])
@@ -715,10 +839,13 @@ def _not_a_number(name):
        rho_source=st.sampled_from(["unit", "identity", "spectral"]),
        # orders above max_order() are rejected before anything n x n exists
        n=st.one_of(st.integers(-2, 5), st.integers(max_order() + 1, 2 * max_order())),
-       epsilon=st.sampled_from(["1e-12", "0", "-1", "nan", "inf", "1"]))
-def test_cli_exit_code_contract(csv, rho, scenario, command, source, rho_source, n, epsilon):
+       epsilon=st.sampled_from(["1e-12", "0", "-1", "nan", "inf", "1"]),
+       basis=st.sampled_from(["chebyshev", "legendre", "monomial"]),
+       fmt=st.sampled_from(["json", "csv"]))
+def test_cli_exit_code_contract(csv, rho, scenario, command, source, rho_source, n, epsilon,
+                                basis, fmt):
     """Whatever the input files and flags, the CLI returns 0, 2, 3 or 4 and
-    raises nothing; on 0 its output is JSON whose numbers are all finite."""
+    raises nothing; on 0 its output is JSON or CSV whose numbers are all finite."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, data in (("in.csv", csv), ("rho.txt", rho), ("s.scenario", scenario)):
@@ -726,7 +853,8 @@ def test_cli_exit_code_contract(csv, rho, scenario, command, source, rho_source,
             with open(paths[name], "wb") as fh:
                 fh.write(data)
         args = [command, source, paths["in.csv" if source == "--input" else "s.scenario"],
-                f"--n={n}", f"--epsilon={epsilon}", "--output", os.path.join(tmp, "out")]
+                f"--n={n}", f"--epsilon={epsilon}", f"--basis={basis}", f"--format={fmt}",
+                "--output", os.path.join(tmp, "out")]
         if command == "joint":
             rho_arg = f"spectral:{paths['rho.txt']}" if rho_source == "spectral" else rho_source
             args += ["--kinds", ",".join(KINDS), "--rho", rho_arg]
@@ -735,4 +863,12 @@ def test_cli_exit_code_contract(csv, rho, scenario, command, source, rho_source,
         assert code in (0, 2, 3, 4)
         if code == 0:
             with open(os.path.join(tmp, "out"), encoding="utf-8") as fh:
-                json.loads(fh.read(), parse_float=_finite, parse_constant=_not_a_number)
+                text = fh.read()
+            if fmt == "json":
+                json.loads(text, parse_float=_finite, parse_constant=_not_a_number)
+            else:
+                lines = text.splitlines()
+                assert lines[0] == "section,kind,i,j,a,b,value"
+                for line in lines[1:]:
+                    for value in line.split(",")[4:]:
+                        _finite(value)

@@ -20,6 +20,14 @@ X_LAWS = ("uniform_grid", "uniform_random", "clustered")
 VALUE_LAWS = ("affine_of_x", "smooth", "spikes", "student_t")
 OMEGA_LAWS = ("unit", "random_positive")
 
+# generate() draws and evaluates each column in chunks of this many samples.
+# Measured against the whole-column expressions at M = 1e6 (median paired
+# differences of 21 interleaved calls, 2-vCPU Xeon, numpy 2.4.6), 2^14 was
+# 0.4-4.9 ms faster on smooth, spikes and student_t and 3.8 ms (7%) slower on
+# clustered, whose choice, offset and clip passes each pay a fixed cost per
+# call; 4096 was 7.9 ms (15%) slower there.
+_DRAW_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True)
 class Law:
@@ -45,8 +53,11 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.M < 1:
             raise ConfigurationError(f"sample count must be >= 1, got {self.M}")
-        # generate() holds all M samples at once: x, w, f and maybe g
-        need = self.M * (3 if self.g_law is None else 4) * 8
+        # generate() keeps the M-sample columns it returns, 8 M bytes each: x,
+        # f, g if there is a g law, and w only if it is drawn (unit weights
+        # are one value); its peak is about 1.09 times them at M = 1e6
+        columns = 2 + (self.g_law is not None) + (self.omega_law.name == "random_positive")
+        need = self.M * columns * 8
         have = physical_memory()
         if need > have:
             raise ConfigurationError(
@@ -78,48 +89,77 @@ class ScenarioSpec:
                 raise ConfigurationError("spike rate must be in [0, 1]")
 
 
+def _fill(out: np.ndarray, chunk_values) -> np.ndarray:
+    """out[c] = chunk_values(c, size of c) for each _DRAW_CHUNK-sample slice
+    c of out, in order. A law's draws and temporaries are then
+    chunk-sized, and its draws come in the order of one whole-column call:
+    numpy's Generator fills an array one value after another, so drawing it
+    in pieces gives the same values."""
+    for start in range(0, out.size, _DRAW_CHUNK):
+        part = slice(start, min(start + _DRAW_CHUNK, out.size))
+        out[part] = chunk_values(part, part.stop - start)
+    return out
+
+
 def _draw_x(law: Law, M: int, rng: np.random.Generator) -> np.ndarray:
     lo, hi = law.get("lo", -1.0), law.get("hi", 1.0)
-    if law.name == "uniform_grid":
+    if law.name == "uniform_grid":  # linspace fills the one array it returns
         return np.linspace(lo, hi, M) if M > 1 else np.array([0.5 * (lo + hi)])
+    x = np.empty(M)
     if law.name == "uniform_random":
-        return rng.uniform(lo, hi, M)
-    # clustered: tight bumps around a few centers, clipped into the range
+        return _fill(x, lambda part, size: rng.uniform(lo, hi, size))
+    # clustered: tight bumps around a few centers, clipped into the range;
+    # every center is drawn before the first offset
     k = int(law.get("centers", 3))
     width = law.get("width", 0.05)
     centers = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), k)
-    x = rng.choice(centers, M) + width * rng.standard_normal(M)
-    return np.clip(x, lo, hi)
+    _fill(x, lambda part, size: rng.choice(centers, size))
+    return _fill(x, lambda part, size:
+                 np.clip(x[part] + width * rng.standard_normal(size), lo, hi))
 
 
 def _draw_values(law: Law, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    out = np.empty_like(x)
     if law.name == "affine_of_x":
-        return law.get("a", 1.0) * x + law.get("b", 0.0)
+        a, b = law.get("a", 1.0), law.get("b", 0.0)
+        return _fill(out, lambda part, size: a * x[part] + b)
     if law.name == "smooth":
         freq = law.get("freq", 1.0)
         curvature = law.get("curvature", 0.3)
-        return np.sin(np.pi * freq * x) + curvature * x * x
+        return _fill(out, lambda part, size:
+                     np.sin(np.pi * freq * x[part]) + curvature * x[part] * x[part])
     if law.name == "spikes":
+        # every hit is drawn before the first magnitude; the M-byte mask is
+        # the one array kept beside the columns
         rate = law.get("rate", 0.01)
         magnitude = law.get("magnitude", 1000.0)
-        base = np.sin(np.pi * x)
-        hit = rng.random(x.size) < rate
-        return base + np.where(hit, magnitude * rng.standard_normal(x.size), 0.0)
+        hit = _fill(np.empty(x.size, dtype=bool), lambda part, size: rng.random(size) < rate)
+        return _fill(out, lambda part, size: np.sin(np.pi * x[part]) + np.where(
+            hit[part], magnitude * rng.standard_normal(size), 0.0))
     # student_t: fat tails, finite mean for nu > 1
-    return law.get("scale", 1.0) * rng.standard_t(law.get("nu", 1.5), x.size)
+    scale, nu = law.get("scale", 1.0), law.get("nu", 1.5)
+    return _fill(out, lambda part, size: scale * rng.standard_t(nu, size))
 
 
 def generate(spec: ScenarioSpec) -> SampleSet:
-    """Deterministic SampleSet for a scenario; same spec and seed, same bits."""
+    """Deterministic SampleSet for a scenario; same spec and seed, same bits.
+
+    It keeps x, f and g (if the spec has a g law) as M-sample arrays, and w
+    only under ``random_positive`` weights: unit weights are
+    ``np.broadcast_to(1.0, M)``, a read-only view of one value. Each drawn
+    column is written once, in chunks (:func:`_fill`), so beside the columns
+    it allocates only chunk-sized temporaries and, for a spikes law, an
+    M-byte mask.
+    """
     rng = np.random.default_rng(spec.seed)
     # Huge law parameters can overflow the draws; SampleSet reports the
     # non-finite values, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         x = _draw_x(spec.x_law, spec.M, rng)
         if spec.omega_law.name == "unit":
-            w = np.ones(spec.M)
+            w = np.broadcast_to(1.0, spec.M)
         else:
-            w = rng.uniform(0.1, 1.0, spec.M)
+            w = _fill(np.empty(spec.M), lambda part, size: rng.uniform(0.1, 1.0, size))
         f = _draw_values(spec.f_law, x, rng)
         g = _draw_values(spec.g_law, x, rng) if spec.g_law is not None else None
     return SampleSet(x=x, w=w, f=f, g=g)

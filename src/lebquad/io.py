@@ -170,14 +170,15 @@ def read_samples_csv(path: str) -> SampleSet:
 
     The samples are held once: SampleSet's columns are read-only strided
     views of the one table np.loadtxt parses, so ingest peaks at about 1.25
-    times that table.
+    times that table. Without a w column, w is ``np.broadcast_to(1.0, M)``,
+    a read-only view of one value, not a column of ones.
     """
     lineno, header, table = _read_table(path, ",", _sample_columns)
     if not table.size:
         raise InputDataError(f"{path} contains no data rows")
     cols = dict(zip(header, table.T))
     try:
-        return SampleSet(x=cols["x"], w=cols.get("w", np.ones(len(table))),
+        return SampleSet(x=cols["x"], w=cols.get("w", np.broadcast_to(1.0, len(table))),
                          f=cols["f"], g=cols.get("g"))
     except InputDataError as exc:
         if exc.record is None:

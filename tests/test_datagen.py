@@ -1,7 +1,11 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lebquad import ConfigurationError, InputDataError, analyze, datagen
+from lebquad.datagen import _DRAW_CHUNK as CHUNK
 from lebquad.datagen import Law, ScenarioSpec, generate, parse_scenario
 
 
@@ -129,3 +133,86 @@ def test_pipeline_survives_all_scenarios_at_high_order(scenario_samples):
     for samples in scenario_samples.values():
         result = analyze(samples, n=12)
         assert result.quad_f.weights.sum() == pytest.approx(samples.w.sum(), rel=1e-8)
+
+
+# The whole-column law expressions that generate() evaluates chunk by chunk:
+# the reference its columns must equal bit for bit.
+def reference_x(law, M, rng):
+    lo, hi = law.get("lo", -1.0), law.get("hi", 1.0)
+    if law.name == "uniform_grid":
+        return np.linspace(lo, hi, M) if M > 1 else np.array([0.5 * (lo + hi)])
+    if law.name == "uniform_random":
+        return rng.uniform(lo, hi, M)
+    k = int(law.get("centers", 3))
+    width = law.get("width", 0.05)
+    centers = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), k)
+    x = rng.choice(centers, M) + width * rng.standard_normal(M)
+    return np.clip(x, lo, hi)
+
+
+def reference_values(law, x, rng):
+    if law.name == "affine_of_x":
+        return law.get("a", 1.0) * x + law.get("b", 0.0)
+    if law.name == "smooth":
+        freq = law.get("freq", 1.0)
+        curvature = law.get("curvature", 0.3)
+        return np.sin(np.pi * freq * x) + curvature * x * x
+    if law.name == "spikes":
+        rate = law.get("rate", 0.01)
+        magnitude = law.get("magnitude", 1000.0)
+        base = np.sin(np.pi * x)
+        hit = rng.random(x.size) < rate
+        return base + np.where(hit, magnitude * rng.standard_normal(x.size), 0.0)
+    return law.get("scale", 1.0) * rng.standard_t(law.get("nu", 1.5), x.size)
+
+
+def reference_generate(spec):
+    rng = np.random.default_rng(spec.seed)
+    x = reference_x(spec.x_law, spec.M, rng)
+    w = np.ones(spec.M) if spec.omega_law.name == "unit" else rng.uniform(0.1, 1.0, spec.M)
+    f = reference_values(spec.f_law, x, rng)
+    return x, w, f, reference_values(spec.g_law, x, rng)
+
+
+X_CASES = [Law("uniform_grid", {"lo": -2.0, "hi": 3.0}), Law("uniform_random"),
+           Law("clustered", {"centers": 5, "width": 0.2})]
+VALUE_CASES = [Law("affine_of_x", {"a": 2.0, "b": -1.0}), Law("smooth", {"freq": 3.0}),
+               Law("spikes", {"rate": 0.1, "magnitude": 50.0}), Law("student_t", {"nu": 2.5})]
+
+
+@pytest.mark.parametrize("M", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+@pytest.mark.parametrize("x_law", X_CASES, ids=lambda law: law.name)
+@pytest.mark.parametrize("value", range(len(VALUE_CASES)),
+                         ids=[law.name for law in VALUE_CASES])
+def test_chunked_laws_equal_whole_column_reference(M, x_law, value):
+    # each value law as f, and as g after the next law's draws
+    f_law, g_law = VALUE_CASES[value], VALUE_CASES[(value + 1) % len(VALUE_CASES)]
+    for omega in ("unit", "random_positive"):
+        spec = make_spec(M=M, x_law=x_law, f_law=f_law, g_law=g_law, omega_law=Law(omega))
+        s = generate(spec)
+        for name, expected in zip("xwfg", reference_generate(spec)):
+            np.testing.assert_array_equal(getattr(s, name), expected, err_msg=name)
+
+
+def test_generate_peak_is_the_columns_it_keeps():
+    # measured 1.08x the owned columns; with the whole-column law expressions
+    # and w a column of ones it was 1.28x the columns, ones included
+    spec = replace(datagen.load_scenario("spikes"), M=2**18)
+    tracemalloc.start()
+    try:
+        s = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.w.strides == (0,) and not s.w.flags.writeable  # unit weights: one value
+    owned = sum(c.nbytes for c in (s.x, s.w, s.f, s.g) if c.flags.owndata)
+    assert owned == 3 * 8 * spec.M
+    assert peak <= 1.15 * owned
+
+
+def test_memory_guard_counts_the_columns_generate_keeps(monkeypatch):
+    # room for 3 columns of M = 1000 samples, not for 4
+    monkeypatch.setattr(datagen, "physical_memory", lambda: 3 * 8 * 1000 + 4000)
+    make_spec(M=1000, omega_law=Law("unit"))  # x, f and g
+    with pytest.raises(ConfigurationError, match="physical memory"):
+        make_spec(M=1000, omega_law=Law("random_positive"))  # and w

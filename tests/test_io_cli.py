@@ -48,7 +48,24 @@ def test_read_csv_optional_columns(tmp_path):
     path.write_text("# comment\nx,f\n0.5,2\n0.7,3\n")
     s = read_samples_csv(str(path))
     np.testing.assert_array_equal(s.w, [1.0, 1.0])
+    assert s.w.strides == (0,) and not s.w.flags.writeable  # one value, not a column
     assert not s.has_g
+
+
+def test_cli_csv_without_w_equals_explicit_unit_weights(tmp_path):
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-1.0, 1.0, 5000)
+    rows = zip(x.tolist(), np.sin(3 * x).tolist(), np.cos(x).tolist())
+    without, with_w = tmp_path / "xfg.csv", tmp_path / "xwfg.csv"
+    without.write_text("x,f,g\n" + "".join("%r,%r,%r\n" % row for row in rows))
+    write_samples_csv(str(with_w), read_samples_csv(str(without)))  # w = 1 written out
+    outputs = []
+    for path in (without, with_w):
+        out = tmp_path / (path.stem + ".json")
+        assert main(["joint", "--input", str(path), "--n", "8", "--kinds", ",".join(KINDS),
+                     "--output", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_read_csv_errors_carry_line_numbers(tmp_path):
@@ -521,6 +538,12 @@ LOBATTO_NEAR_FLOAT_MAX = b"x,w,f\n" + b"".join(
     ({"s.scenario": b"M = 100\nseed = 1\nx_law = clustered(lo=-5e305)\n"
                     b"f_law = smooth\ng_law = smooth\nomega_law = unit\n"},
      ["joint", "--scenario", "s.scenario", "--n", "2"], None),
+    # the same overflows in each of several generator chunks
+    *(({"s.scenario": b"M = %d\nseed = 1\nx_law = %s\nf_law = %s\ng_law = smooth\n"
+                      b"omega_law = unit\n" % (3 * datagen._DRAW_CHUNK + 5, x_law, f_law)},
+       ["joint", "--scenario", "s.scenario", "--n", "2"], None)
+      for x_law, f_law in ((b"clustered(lo=-5e305)", b"smooth"),
+                           (b"uniform_random", b"spikes(rate=0.5, magnitude=1e308)"))),
     ({}, ["quadrature", "--scenario", "smooth", "--n", "2",
           "--output", "missing/out.json"], None),
     ({}, ["quadrature", "--input", "in\x00.csv", "--n", "1"], None),
@@ -556,7 +579,8 @@ LOBATTO_NEAR_FLOAT_MAX = b"x,w,f\n" + b"".join(
 ], ids=["csv-not-utf8", "csv-header-not-utf8", "csv-not-utf8-line-50000",
         "rho-not-utf8", "scenario-M-not-int",
         "scenario-seed-not-int", "scenario-not-utf8", "scenario-huge-M",
-        "scenario-law-overflow", "output-dir-missing", "input-path-nul", "output-path-nul",
+        "scenario-law-overflow", "scenario-x-overflow-chunks", "scenario-spikes-overflow-chunks",
+        "output-dir-missing", "input-path-nul", "output-path-nul",
         "epsilon-nan", "epsilon-inf", "epsilon-2", "epsilon-negative",
         "rho-order-negative", "rho-ragged-row", "rho-comment-then-text",
         "rho-nan", "rho-overflow", "joint-overflow", "nodes-past-float-max",

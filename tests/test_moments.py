@@ -204,6 +204,18 @@ def test_weight_scaling_general_factor(c, seed):
     assert g2.total_measure == pytest.approx(c * g1.total_measure, rel=1e-14)
 
 
+def test_broadcast_unit_weights_give_the_grams_of_their_dense_copy(scenario_samples):
+    s = scenario_samples["spikes"]
+    unit = SampleSet(x=s.x, w=np.broadcast_to(1.0, s.size), f=s.f, g=s.g)
+    dense = SampleSet(x=s.x, w=np.ones(s.size), f=s.f, g=s.g)
+    for n in (1, 8, 33):
+        basis = BasisSpec(Family.CHEBYSHEV, n, DomainMap(-1.0, 1.0))
+        grams, expected = accumulate_grams(unit, basis, n), accumulate_grams(dense, basis, n)
+        for name in ("G", "A_f", "A_g"):
+            np.testing.assert_array_equal(getattr(grams, name), getattr(expected, name))
+        assert grams.exponents == expected.exponents
+
+
 def test_zero_weight_sample_changes_nothing():
     x = np.array([-0.5, 0.2, 0.9])
     s1 = SampleSet(x=x, w=np.ones(3), f=x**2)

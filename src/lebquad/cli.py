@@ -7,6 +7,7 @@ from contextlib import nullcontext
 
 from . import io as lio
 from . import joint as joint_ops
+from .basis import Family
 from .datagen import generate, load_scenario
 from .errors import ConditioningError, ConfigurationError, InputDataError, RhoMismatchError
 from .pipeline import DEFAULT_ORDER, analyze
@@ -23,8 +24,7 @@ def _add_common(parser):
     src.add_argument("--input", help="CSV file with header x,w,f,g (w, g optional)")
     src.add_argument("--scenario", help="built-in scenario name or scenario file path")
     parser.add_argument("--n", type=int, default=DEFAULT_ORDER, help="quadrature order")
-    parser.add_argument("--basis", default="chebyshev",
-                        choices=["chebyshev", "legendre", "monomial"])
+    parser.add_argument("--basis", default="chebyshev", choices=[f.value for f in Family])
     parser.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                         help="Gram rank threshold, relative to lambda_max")
     parser.add_argument("--format", default="json", choices=["json", "csv"])

@@ -168,10 +168,10 @@ def read_samples_csv(path: str) -> SampleSet:
     record of SampleSet's first non-finite value or negative weight, rejects
     the whole file with its line number.
 
-    The samples are held once: SampleSet's columns are read-only strided
-    views of the one table np.loadtxt parses, so ingest peaks at about 1.25
-    times that table. Without a w column, w is ``np.broadcast_to(1.0, M)``,
-    a read-only view of one value, not a column of ones.
+    Without zero weights, SampleSet's columns are read-only strided views of
+    the one table np.loadtxt parses, so ingest peaks at about 1.25 times that
+    table; with them, they are copies of its rows of w > 0. Without a w
+    column, w is ``np.broadcast_to(1.0, M)``, a view of one value.
     """
     lineno, header, table = _read_table(path, ",", _sample_columns)
     if not table.size:

@@ -77,16 +77,15 @@ class SampleSet:
     """Weighted observations (x_l, w_l, f_l, g_l) defining the measure.
 
     ``g`` is optional; without it only the single-process quadrature
-    pipeline is available.
+    pipeline is available. A sample of zero weight is not part of the
+    measure: it is dropped on construction.
     """
 
     x: np.ndarray
     w: np.ndarray
     f: np.ndarray
     g: np.ndarray | None = None
-    support_size: int = field(init=False)  # samples of w > 0
-    # (min, max) of x, f and g where w > 0; (0, max) of w
-    spans: dict[str, tuple[float, float]] = field(init=False, repr=False)
+    spans: dict[str, tuple[float, float]] = field(init=False, repr=False)  # (min, max) per column
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -99,30 +98,27 @@ class SampleSet:
         for name, arr in columns[1:]:
             if arr.shape != x.shape:
                 raise InputDataError(f"column '{name}' has {arr.size} entries, expected {x.size}")
-        bad = w < 0
-        for _, arr in columns:
-            bad |= ~np.isfinite(arr)
-        if bad.any():
+        spans = _spans(columns)
+        if not np.isfinite(list(spans.values())).all() or spans["w"][0] < 0:
+            bad = w < 0
+            for _, arr in columns:
+                bad |= ~np.isfinite(arr)
             # the first bad record; within it, non-finite x, w, f, g, then the weight's sign
             row = int(bad.argmax())
             for name, arr in columns:
                 if not np.isfinite(arr[row]):
                     raise InputDataError(f"non-finite value in column '{name}'", record=row + 1)
             raise InputDataError(f"negative weight {w[row]}", record=row + 1)
-        object.__setattr__(self, "support_size", int(np.count_nonzero(w)))  # w >= 0 here
-        if not self.support_size:
+        if not spans["w"][1]:
             raise InputDataError("total measure must be positive")
-        positive = None if self.support_size == x.size else w > 0
-        spans = {}
-        for name, arr in columns[:1] + columns[2:]:  # a masked reduction is ~3x slower
-            kept = arr if positive is None else arr[positive]  # one column at a time
-            spans[name] = (float(kept.min()), float(kept.max()))
-        # w's largest is its largest where w > 0; nothing reads its smallest
-        object.__setattr__(self, "spans", {"w": (0.0, float(w.max())), **spans})
-        for name, arr in (("x", x), ("w", w), ("f", f), ("g", g)):
+        if not spans["w"][0]:  # zero weights are not part of the measure
+            positive = w > 0
+            columns = tuple((name, arr[positive]) for name, arr in columns)
+            spans = _spans(columns)
+        object.__setattr__(self, "spans", spans)
+        for name, arr in columns:
             object.__setattr__(self, name, arr)
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     @property
     def size(self) -> int:
@@ -131,6 +127,12 @@ class SampleSet:
     @property
     def has_g(self) -> bool:
         return self.g is not None
+
+
+def _spans(columns) -> dict[str, tuple[float, float]]:
+    """(min, max) of each (name, column); NaN propagates through both."""
+    with np.errstate(invalid="ignore"):
+        return {name: (float(arr.min()), float(arr.max())) for name, arr in columns}
 
 
 @dataclass(frozen=True)
@@ -168,14 +170,13 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
     """Gram and operator matrices of order n over T_0 .. T_{n-1} on
     ``basis.domain``, whatever ``basis.family`` (it reads domain and size).
 
-    Orders above the number of positive-weight samples are rejected before
-    anything n-sized is allocated: such a Gram matrix cannot have full rank.
-    So are orders above :func:`max_order`, whose arrays would not fit in
-    physical memory.
+    Orders above the number of samples are rejected before anything n-sized
+    is allocated: such a Gram matrix cannot have full rank. So are orders
+    above :func:`max_order`, whose arrays would not fit in physical memory.
 
     Each column c in [w, f, g] is scaled by 2^-e_c, e_c the
-    :func:`scale_exponent` of its span, so that |c 2^-e_c| < 2 where w > 0:
-    every |u| < 4 and |T_j| <= 1, so each Gram entry is below 4M, and
+    :func:`scale_exponent` of its span, so that |c 2^-e_c| < 2: every
+    |u| < 4 and |T_j| <= 1, so each Gram entry is below 4M, and
     G[0, 0] >= 1/2. The samples are reduced to the Chebyshev moments
     m_j = sum u T_j(t), j = 0 .. 2n-2, of each scaled measure u in
     [w, w f, w g], whatever the family
@@ -186,11 +187,10 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
         raise ConfigurationError(f"order must be >= 1, got {n}")
     if basis.size < n:
         raise ConfigurationError(f"basis size {basis.size} too small, need at least {n}")
-    support = samples.support_size
-    if n > support:
+    if n > samples.size:
         raise ConditioningError(
-            f"order {n} exceeds the {support} samples of positive weight",
-            effective_rank=support,
+            f"order {n} exceeds the {samples.size} samples of positive weight",
+            effective_rank=samples.size,
         )
     if n > max_order():
         raise ConfigurationError(
@@ -199,7 +199,7 @@ def accumulate_grams(samples: SampleSet, basis: BasisSpec, n: int) -> GramSet:
             f"physical memory"
         )
     exponents = tuple(scale_exponent(*samples.spans.get(name, (0.0, 0.0))) for name in "wfg")
-    m = _chebyshev_moments(samples, basis.domain, n, support < samples.size, exponents)
+    m = _chebyshev_moments(samples, basis.domain, n, exponents)
     G, A_f, *A_g = _grams_from_moments(m[:, :2 * n - 1])
     return GramSet(G=G, A_f=A_f, A_g=A_g[0] if A_g else None, exponents=exponents)
 
@@ -220,7 +220,7 @@ def _split(n: int) -> tuple[int, int]:
     return -(-(2 * n - 2) // P), P
 
 
-def _chebyshev_moments(samples: SampleSet, domain: DomainMap, n: int, zero_weights: bool,
+def _chebyshev_moments(samples: SampleSet, domain: DomainMap, n: int,
                        exponents: tuple[int, int, int]) -> np.ndarray:
     """m[u, j] = sum_l u_l T_j(t_l), j = 0 .. hP (:func:`_split`), for the
     measures u in [w', w' f', w' g'], c' = c 2^-e_c with (e_w, e_f, e_g) =
@@ -233,9 +233,7 @@ def _chebyshev_moments(samples: SampleSet, domain: DomainMap, n: int, zero_weigh
     S[k, p, u] = sum u T_k T_{ph} = (m_{ph+k} + m_{|ph-k|}) / 2 over the
     chunks. Then m_k = S[k, 0], k <= h, and block by block in p,
     m_{ph+k} = 2 (S[k, p] - m_{ph-k} / 2), k = 1 .. h: halving first keeps it
-    finite wherever the moments are. With ``zero_weights``, samples of zero
-    weight are evaluated at the domain's midpoint, and their f' and g' are
-    taken as 0.
+    finite wherever the moments are.
     """
     h, P = _split(n)
     rows = BasisSpec(Family.CHEBYSHEV, h + 1, domain)
@@ -244,23 +242,15 @@ def _chebyshev_moments(samples: SampleSet, domain: DomainMap, n: int, zero_weigh
     chunk = block.shape[1]
     e_w, *scales = exponents
     columns = list(zip((samples.f, samples.g), scales))[:measures - 1]
-    # Zero-weight samples add 0 to every sum, but far outside the domain T_k
-    # overflows, as may their scaled f and g, and 0 inf is NaN: they are
-    # evaluated at the domain's midpoint, where |T_k| <= 1, with f = g = 0.
-    midpoint = 0.5 * domain.x_min + 0.5 * domain.x_max
     acc = np.zeros((h + 1, P * measures))
     for start in range(0, samples.size, chunk):
         part = slice(start, start + chunk)
         w, x = samples.w[part], samples.x[part]
-        if zero_weights:
-            positive = w > 0
-            x = np.where(positive, x, midpoint)
         op = operand[:, :w.size]  # row p measures + u holds u T_{ph}
         np.ldexp(w, -e_w, out=op[0])
         for row, (column, e) in enumerate(columns, start=1):
-            values = np.where(positive, column[part], 0.0) if zero_weights else column[part]
             # scaled before the product, which could underflow first
-            np.ldexp(values, -e, out=op[row])
+            np.ldexp(column[part], -e, out=op[row])
             op[row] *= op[0]
         T = evaluate_all(rows, x, block[:, :w.size])
         factors = [T[h]] if P > 1 else []  # T_{ph}, p = 1 .. P-1

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import lebquad.moments as moments
 import lebquad.reference as reference
 from lebquad.basis import _chebyshev_coefficients, evaluate_all, scale_exponent
+from lebquad.io import dumps_json, result_document
+from lebquad.spectral import DEFAULT_EPSILON
 from lebquad import (
     BasisSpec,
     ConditioningError,
@@ -247,7 +249,7 @@ def test_spans_skip_zero_weights():
         masked = (np.min(arr, where=positive, initial=np.inf),
                   np.max(arr, where=positive, initial=-np.inf))
         assert [v.hex() for v in s.spans[name]] == [float(v).hex() for v in masked]
-    assert s.spans["w"] == (0.0, w.max())
+    assert s.spans["w"] == (w[positive].min(), w.max())
 
 
 def test_gram_is_psd(scenario_samples):
@@ -445,7 +447,7 @@ def test_recovered_moments_match_direct_sums(monkeypatch, n):
     s = SampleSet(x=x, w=rng.uniform(0.0, 1.0, M) * (rng.random(M) > 0.1),
                   f=np.sin(3 * x), g=np.cos(x) - 0.5)
     domain = DomainMap(-2.0, 3.0)
-    T = evaluate_all(BasisSpec(Family.CHEBYSHEV, 2 * n - 1, domain), x)
+    T = evaluate_all(BasisSpec(Family.CHEBYSHEV, 2 * n - 1, domain), s.x)  # w > 0 only
     exponents = tuple(scale_exponent(*s.spans[name]) for name in "wfg")
     w, f, g = (np.ldexp(getattr(s, name), e) for name, e in zip("wfg", exponents))
     units = np.stack([w, w * f, w * g])
@@ -454,23 +456,55 @@ def test_recovered_moments_match_direct_sums(monkeypatch, n):
     for h, P in _splits(n):
         assert h * P >= 2 * n - 2
         monkeypatch.setattr(moments, "_split", lambda n, split=(h, P): split)
-        m = moments._chebyshev_moments(s, domain, n, True, exponents)
+        m = moments._chebyshev_moments(s, domain, n, exponents)
         assert m.shape == (3, h * P + 1)
         assert (np.abs(m[:, :2 * n - 1] - direct) <= 1e-14 * scale).all(), (h, P)
 
 
 def test_zero_weight_sample_far_outside_the_support_changes_nothing():
-    # Q_k at x = 1e10 overflows at n = 40, and 0 inf would be NaN in the sums
-    x = np.linspace(-1.0, 1.0, 64)
-    far = np.append(x, 1e10)
-    s1 = SampleSet(x=x, w=np.ones(64), f=np.cos(3 * x), g=np.sin(x))
-    s2 = SampleSet(x=far, w=np.append(np.ones(64), 0.0), f=np.cos(3 * far), g=np.sin(far))
-    for family in (Family.CHEBYSHEV, Family.LEGENDRE):
-        r1, r2 = analyze(s1, 40, family), analyze(s2, 40, family)
-        for a, b in ((r1.quad_f.nodes, r2.quad_f.nodes), (r1.quad_f.weights, r2.quad_f.weights),
-                     (r1.quad_g.nodes, r2.quad_g.nodes), (r1.quad_g.weights, r2.quad_g.weights),
-                     (r1.projection(), r2.projection())):
-            np.testing.assert_array_equal(a, b)
+    # several chunks, with zero weights scattered through them; some zero-weight
+    # rows sit at x = 1e10, where T_k overflows from k = 30 on (the n = 33 pass
+    # forms T_48), or carry f and g of +-1e300, and 0 inf would be NaN in the sums
+    rng = np.random.default_rng(11)
+    M = 4 * moments._CHUNK_SAMPLES + 1234
+    x = rng.uniform(-1.0, 1.0, M)
+    w = rng.uniform(0.5, 1.5, M)
+    f, g = np.cos(3 * x), np.sin(x)
+    zero = rng.random(M) < 0.2
+    w[zero] = 0.0
+    far, huge = np.flatnonzero(zero)[::7], np.flatnonzero(zero)[3::7]
+    x[far] = 1e10
+    f[huge], g[huge] = 1e300, -1e300
+    kept = SampleSet(x=x[~zero], w=w[~zero], f=f[~zero], g=g[~zero])
+    s = SampleSet(x=x, w=w, f=f, g=g)
+    for name in "xwfg":
+        np.testing.assert_array_equal(getattr(s, name), getattr(kept, name))
+    for n in (8, 33):
+        for family in (Family.CHEBYSHEV, Family.LEGENDRE):
+            r1, r2 = analyze(kept, n, family), analyze(s, n, family)
+            for a, b in ((r1.quad_f.nodes, r2.quad_f.nodes),
+                         (r1.quad_f.weights, r2.quad_f.weights),
+                         (r1.quad_g.nodes, r2.quad_g.nodes),
+                         (r1.quad_g.weights, r2.quad_g.weights),
+                         (r1.projection(), r2.projection())):
+                np.testing.assert_array_equal(a, b)
+            docs = [dumps_json(result_document(r, DEFAULT_EPSILON, [r.correlation("value")]))
+                    for r in (r1, r2)]
+            assert docs[0] == docs[1]
+
+
+def test_sampleset_validates_without_column_sized_temporaries():
+    # each column is reduced to its min and max; masks are built only to
+    # find the first bad record of a rejected input
+    M = 2**20
+    x, w, f, g = np.random.default_rng(5).uniform(0.5, 1.5, (4, M))
+    tracemalloc.start()
+    try:
+        SampleSet(x=x, w=w, f=f, g=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_order_above_positive_weight_count_rejected_before_evaluation(monkeypatch):

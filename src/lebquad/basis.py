@@ -1,15 +1,15 @@
-"""Polynomial basis families with stable recurrence evaluation.
+"""Chebyshev rows on a mapped domain, and the other families' coefficients over them.
 
-All families are evaluated in a mapped variable t in [-1, 1]; the affine
-map keeps the three-term recurrences well conditioned regardless of the
-units of the input data.
+Only the T_k are evaluated, in a mapped variable t in [-1, 1], where their
+recurrence is well conditioned whatever the units of the data; a Legendre or
+monomial basis enters only through its coefficients C over the T_k, with
+which the JSON writer re-expresses alpha.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,7 +64,9 @@ class DomainMap:
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """A family of polynomial basis functions Q_0 .. Q_{size-1} on a domain."""
+    """A basis Q_0 .. Q_{size-1} of a polynomial family on a domain. The
+    library evaluates and solves over the Chebyshev T_k of the same span
+    whatever ``family`` is; ``family`` selects only the Q_k of JSON alpha."""
 
     family: Family
     size: int
@@ -76,66 +78,40 @@ class BasisSpec:
             raise ConfigurationError(f"basis size must be >= 1, got {self.size}")
 
 
-def recurrence_coefficients(family: Family, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (a_k, c_k), k = 0 .. size-1, of t Q_k = a_k Q_{k+1} + c_k Q_{k-1}.
-
-    The one table of the three-term recurrences, used both to evaluate the
-    basis and to build C, its Chebyshev coefficients. c_0 = 0 always.
-    """
-    k = np.arange(size, dtype=float)
-    if family is Family.CHEBYSHEV:
-        a = np.where(k == 0, 1.0, 0.5)
-        c = np.where(k == 0, 0.0, 0.5)
-    elif family is Family.LEGENDRE:
-        a = (k + 1) / (2 * k + 1)
-        c = k / (2 * k + 1)
-    else:
-        a = np.ones(size)
-        c = np.zeros(size)
-    return a, c
-
-
 def _chebyshev_coefficients(family: Family, n: int) -> np.ndarray:
     """C[k, j], k, j < n: Q_k = sum_j C[k, j] T_j, lower triangular, by the
-    family's recurrence and t T_j = (T_{j+1} + T_{|j-1|}) / 2; exactly I for Chebyshev."""
+    family's recurrence t Q_k = a_k Q_{k+1} + c_k Q_{k-1} and
+    t T_j = (T_{j+1} + T_{|j-1|}) / 2; exactly I for Chebyshev."""
+    if family is Family.CHEBYSHEV:
+        return np.eye(n)
     C = np.zeros((n, n))
     C[0, 0] = 1.0
-    for k, (scale, lag) in enumerate(_recurrence_steps(family, n)[1]):
+    for k in range(n - 1):
         row, nxt = C[k], C[k + 1]
         nxt[1:] = row[:-1]
         nxt[:-1] += row[1:]
         nxt[1] += row[0]
-        nxt *= 0.5 * scale
-        if lag:  # c_0 = 0, so C[k - 1] is read from k = 1 on
-            nxt -= lag * C[k - 1]
+        if family is Family.MONOMIAL:  # a_k = 1, c_k = 0
+            nxt *= 0.5
+        else:  # Legendre: a_k = (k + 1) / (2k + 1), c_k = k / (2k + 1)
+            a, c = (k + 1) / (2 * k + 1), k / (2 * k + 1)
+            nxt *= 0.5 * (1.0 / a)
+            if k:
+                nxt -= c / a * C[k - 1]
     return C
 
 
-@lru_cache(maxsize=8)
-def _recurrence_steps(family: Family, size: int) -> tuple[float, tuple[tuple[float, float], ...]]:
-    """(fold, steps) of Q_{k+1} = (t Q_k) / a_k - (c_k / a_k) Q_{k-1}, as
-    Python floats: steps[k] = (1 / a_k, c_k / a_k) for k = 0 .. size-2.
-
-    ``fold`` is the step scale 1 / a_k shared by every k >= 1 when it is a
-    power of two (2 for Chebyshev, 1 for monomials), else 1. Scaling by a
-    power of two is exact short of underflow, so (fold t) Q_k equals
-    (t Q_k) fold.
-    """
-    a, c = recurrence_coefficients(family, size)
-    scales, lags = (1.0 / a[:-1]).tolist(), (c[:-1] / a[:-1]).tolist()
-    fold = scales[-1] if scales else 1.0
-    if any(s != fold for s in scales[1:]) or math.frexp(fold)[0] != 0.5:
-        fold = 1.0
-    return fold, tuple(zip(scales, lags))
-
-
 def evaluate_all(spec: BasisSpec, x, out=None) -> np.ndarray:
-    """Evaluate all basis functions at x via the three-term recurrence.
+    """Evaluate T_0 .. T_{size-1} at x on ``spec.domain``, by the recurrence
+    T_{k+1} = 2t T_k - T_{k-1}; a spec of another family is a ConfigurationError.
 
     x may be a scalar or a 1-d array; the result has shape (size,) or
     (size, len(x)). If given, ``out`` is a float array of that shape, which
     receives the result and is returned; its rows may have any stride.
     """
+    if spec.family is not Family.CHEBYSHEV:
+        raise ConfigurationError(
+            f"only Chebyshev rows are evaluated, got a {spec.family.value} basis")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():  # the method: np.all adds ~4 us a call
         raise InputDataError("evaluation points must be finite")
@@ -144,29 +120,14 @@ def evaluate_all(spec: BasisSpec, x, out=None) -> np.ndarray:
         out = np.empty(shape)
     elif out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, expected {shape}")
-    Q = out[:, np.newaxis] if x.ndim == 0 else out
-    Q[0] = 1.0
+    T = out[:, np.newaxis] if x.ndim == 0 else out
+    T[0] = 1.0
     if spec.size == 1:
         return out
-    # Q_1 = t for every family (a_0 = 1, c_0 = 0): the domain map writes row
-    # 1. Then Q_{k+1} = (t Q_k) / a_k - (c_k / a_k) Q_{k-1}, in place; the
-    # unit and zero factors are skipped and a shared power-of-two scale is
-    # folded into t once, so a Chebyshev row takes 2 passes, a monomial 1.
-    # One scratch row holds the folded t, or each Legendre row's lag term.
-    t = spec.domain(x, out=Q[1])
-    fold, steps = _recurrence_steps(spec.family, spec.size)
-    scratch = np.empty_like(t) if spec.size > 2 else None
-    folded = np.multiply(t, fold, out=scratch) if fold != 1.0 else t
-    for k, (scale, lag) in enumerate(steps[1:], start=1):
-        nxt = Q[k + 1]
-        if scale == fold:
-            np.multiply(folded, Q[k], out=nxt)
-        else:
-            np.multiply(t, Q[k], out=nxt)
-            if scale != 1.0:
-                nxt *= scale
-        if lag == 1.0:
-            nxt -= Q[k - 1]
-        elif lag != 0.0:
-            nxt -= np.multiply(lag, Q[k - 1], out=scratch)
+    # the domain map writes T_1 = t, and 2t is formed once, so a row takes 2
+    # passes; "T[k + 1] -= ..." would add a third, a copy through __setitem__
+    twice = np.multiply(spec.domain(x, out=T[1]), 2.0)
+    for k in range(1, spec.size - 1):
+        nxt = np.multiply(twice, T[k], out=T[k + 1])
+        nxt -= T[k - 1]
     return out

@@ -24,7 +24,9 @@ def _add_common(parser):
     src.add_argument("--input", help="CSV file with header x,w,f,g (w, g optional)")
     src.add_argument("--scenario", help="built-in scenario name or scenario file path")
     parser.add_argument("--n", type=int, default=DEFAULT_ORDER, help="quadrature order")
-    parser.add_argument("--basis", default="chebyshev", choices=[f.value for f in Family])
+    parser.add_argument("--basis", default="chebyshev", choices=[f.value for f in Family],
+                        help="polynomial family of the JSON alpha coefficients only; every "
+                             "solve and every CSV output is the same for all three")
     parser.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
                         help="Gram rank threshold, relative to lambda_max")
     parser.add_argument("--format", default="json", choices=["json", "csv"])

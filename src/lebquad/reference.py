@@ -10,20 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import evaluate_all
+from .basis import BasisSpec, Family, evaluate_all
 from .moments import GramSet
 
 
 def direct_grams(samples, basis, n):
-    """GramSet from the direct sums G_jk = sum_l Q_j(x_l) Q_k(x_l) w_l, etc.
+    """GramSet from the direct sums G_jk = sum_l T_j(x_l) T_k(x_l) w_l, etc.,
+    T_k the Chebyshev polynomials on ``basis.domain`` whatever ``basis.family``,
+    as for :func:`~lebquad.moments.accumulate_grams`.
 
     Builds the full n x M basis matrix, so memory and time grow as n M.
     """
-    Q = evaluate_all(basis, samples.x)[:n]
+    T = evaluate_all(BasisSpec(Family.CHEBYSHEV, n, basis.domain), samples.x)
     w = samples.w
 
     def gram(weights):
-        return (Q * weights) @ Q.T
+        return (T * weights) @ T.T
 
     return GramSet(
         G=gram(w), A_f=gram(w * samples.f),

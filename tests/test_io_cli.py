@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import legvander
 
-from lebquad import Family, InputDataError, SampleSet, analyze, datagen, reference, selftest
+from lebquad import Family, InputDataError, SampleSet, analyze, datagen, selftest
 from lebquad.cli import main
 from lebquad.io import (
     dumps_json,
@@ -344,13 +345,37 @@ def test_json_alpha_is_orthonormal_over_its_family(family, n):
                         for a in (alpha_f, alpha_g))
         forms = (psi_f.T @ psi_f, psi_g.T @ psi_g, psi_f.T @ psi_g)
     else:
-        G = reference.direct_grams(samples, result.basis, n).G
+        Q = legvander(result.basis.domain(samples.x), n - 1)
+        G = (Q.T * samples.w) @ Q
         forms = (alpha_f.T @ G @ alpha_f, alpha_g.T @ G @ alpha_g, alpha_f.T @ G @ alpha_g)
     kappa = max(np.abs(alpha_f).sum(axis=0).max(), np.abs(alpha_g).sum(axis=0).max())
     # sum_l w_l |psi_l| <= sqrt(<1>) for a psi of unit norm
     tol = 1e-8 + 2 * np.finfo(float).eps * kappa * math.sqrt(samples.w.sum())
     for form, want in zip(forms, (np.eye(n), np.eye(n), result.projection())):
         assert np.abs(form - want).max() <= tol
+
+
+def test_cli_basis_changes_only_json_alpha(tmp_path):
+    # every solve is over the Chebyshev T_k: --basis selects only the family
+    # that JSON alpha is written over
+    outputs = {}
+    for family in Family:
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"{family.value}.{fmt}"
+            assert main(["joint", "--scenario", "spikes", "--n", "16", "--basis", family.value,
+                         "--kinds", ",".join(KINDS), "--format", fmt,
+                         "--output", str(out)]) == 0
+            outputs[family, fmt] = out.read_bytes()
+    assert len({outputs[family, "csv"] for family in Family}) == 1
+    docs = {}
+    for family in Family:
+        doc = json.loads(outputs[family, "json"])
+        assert doc["meta"].pop("basis") == family.value
+        alphas = [doc[f"quadrature_{p}"].pop("alpha") for p in "fg"]
+        docs[family] = doc, alphas
+    doc, alphas = docs.pop(Family.CHEBYSHEV)
+    for other, other_alphas in docs.values():
+        assert other == doc and other_alphas != alphas
 
 
 @pytest.mark.parametrize("n", [32, 64])

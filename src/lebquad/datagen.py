@@ -20,6 +20,19 @@ X_LAWS = ("uniform_grid", "uniform_random", "clustered")
 VALUE_LAWS = ("affine_of_x", "smooth", "spikes", "student_t")
 OMEGA_LAWS = ("unit", "random_positive")
 
+# Each law's parameters with their defaults; a law takes no other parameter.
+LAW_PARAMS = {
+    "uniform_grid": {"lo": -1.0, "hi": 1.0},
+    "uniform_random": {"lo": -1.0, "hi": 1.0},
+    "clustered": {"lo": -1.0, "hi": 1.0, "centers": 3.0, "width": 0.05},
+    "affine_of_x": {"a": 1.0, "b": 0.0},
+    "smooth": {"freq": 1.0, "curvature": 0.3},
+    "spikes": {"rate": 0.01, "magnitude": 1000.0},
+    "student_t": {"scale": 1.0, "nu": 1.5},
+    "unit": {},
+    "random_positive": {},
+}
+
 # generate() draws and evaluates each column in chunks of this many samples.
 # Measured against the whole-column expressions at M = 1e6 (median paired
 # differences of 21 interleaved calls, 2-vCPU Xeon, numpy 2.4.6), 2^14 was
@@ -36,8 +49,9 @@ class Law:
     name: str
     params: dict = field(default_factory=dict)
 
-    def get(self, key, default):
-        return float(self.params.get(key, default))
+    def param(self, key: str) -> float:
+        """The parameter ``key``, or its default in LAW_PARAMS."""
+        return float(self.params.get(key, LAW_PARAMS[self.name][key]))
 
 
 @dataclass(frozen=True)
@@ -66,27 +80,30 @@ class ScenarioSpec:
             )
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        for law in (self.x_law, self.f_law, self.g_law, self.omega_law):
-            if law is not None and not all(np.isfinite(float(v)) for v in law.params.values()):
-                raise ConfigurationError(f"law {law.name!r} has a non-finite parameter")
-        if self.x_law.name not in X_LAWS:
-            raise ConfigurationError(f"unknown x law {self.x_law.name!r}")
-        lo, hi = self.x_law.get("lo", -1.0), self.x_law.get("hi", 1.0)
-        if not 0 <= hi - lo < np.inf:
-            raise ConfigurationError(f"x range needs lo <= hi, got lo={lo}, hi={hi}")
-        if self.x_law.name == "clustered" and not 1 <= int(self.x_law.get("centers", 3)) <= self.M:
-            raise ConfigurationError("clustered x law needs 1 <= centers <= M")
-        if self.omega_law.name not in OMEGA_LAWS:
-            raise ConfigurationError(f"unknown omega law {self.omega_law.name!r}")
-        for law in (self.f_law, self.g_law):
+        for kind, law, names in (("x", self.x_law, X_LAWS), ("value", self.f_law, VALUE_LAWS),
+                                 ("value", self.g_law, VALUE_LAWS),
+                                 ("omega", self.omega_law, OMEGA_LAWS)):
             if law is None:
                 continue
-            if law.name not in VALUE_LAWS:
-                raise ConfigurationError(f"unknown value law {law.name!r}")
-            if law.name == "student_t" and law.get("nu", 1.5) <= 1:
+            if law.name not in names:
+                raise ConfigurationError(f"unknown {kind} law {law.name!r}")
+            for key, value in law.params.items():
+                if key not in LAW_PARAMS[law.name]:
+                    raise ConfigurationError(f"law {law.name!r} has no parameter {key!r}")
+                if not np.isfinite(float(value)):
+                    raise ConfigurationError(f"law {law.name!r}: parameter {key!r} is not finite")
+            if law.name == "student_t" and law.param("nu") <= 1:
                 raise ConfigurationError("student_t needs nu > 1 for a finite mean")
-            if law.name == "spikes" and not 0 <= law.get("rate", 0.01) <= 1:
+            if law.name == "spikes" and not 0 <= law.param("rate") <= 1:
                 raise ConfigurationError("spike rate must be in [0, 1]")
+        lo, hi = self.x_law.param("lo"), self.x_law.param("hi")
+        if not 0 <= hi - lo < np.inf:
+            raise ConfigurationError(f"x range needs lo <= hi, got lo={lo}, hi={hi}")
+        if self.x_law.name == "clustered":
+            centers = self.x_law.param("centers")
+            if not (centers.is_integer() and 1 <= centers <= self.M):
+                raise ConfigurationError("law 'clustered' needs a whole number of centers "
+                                         f"in [1, M], got centers={centers:g}")
 
 
 def _fill(out: np.ndarray, chunk_values) -> np.ndarray:
@@ -102,7 +119,7 @@ def _fill(out: np.ndarray, chunk_values) -> np.ndarray:
 
 
 def _draw_x(law: Law, M: int, rng: np.random.Generator) -> np.ndarray:
-    lo, hi = law.get("lo", -1.0), law.get("hi", 1.0)
+    lo, hi = law.param("lo"), law.param("hi")
     if law.name == "uniform_grid":  # linspace fills the one array it returns
         return np.linspace(lo, hi, M) if M > 1 else np.array([0.5 * (lo + hi)])
     x = np.empty(M)
@@ -110,8 +127,8 @@ def _draw_x(law: Law, M: int, rng: np.random.Generator) -> np.ndarray:
         return _fill(x, lambda part, size: rng.uniform(lo, hi, size))
     # clustered: tight bumps around a few centers, clipped into the range;
     # every center is drawn before the first offset
-    k = int(law.get("centers", 3))
-    width = law.get("width", 0.05)
+    k = int(law.param("centers"))
+    width = law.param("width")
     centers = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), k)
     _fill(x, lambda part, size: rng.choice(centers, size))
     return _fill(x, lambda part, size:
@@ -121,23 +138,23 @@ def _draw_x(law: Law, M: int, rng: np.random.Generator) -> np.ndarray:
 def _draw_values(law: Law, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     out = np.empty_like(x)
     if law.name == "affine_of_x":
-        a, b = law.get("a", 1.0), law.get("b", 0.0)
+        a, b = law.param("a"), law.param("b")
         return _fill(out, lambda part, size: a * x[part] + b)
     if law.name == "smooth":
-        freq = law.get("freq", 1.0)
-        curvature = law.get("curvature", 0.3)
+        freq = law.param("freq")
+        curvature = law.param("curvature")
         return _fill(out, lambda part, size:
                      np.sin(np.pi * freq * x[part]) + curvature * x[part] * x[part])
     if law.name == "spikes":
         # every hit is drawn before the first magnitude; the M-byte mask is
         # the one array kept beside the columns
-        rate = law.get("rate", 0.01)
-        magnitude = law.get("magnitude", 1000.0)
+        rate = law.param("rate")
+        magnitude = law.param("magnitude")
         hit = _fill(np.empty(x.size, dtype=bool), lambda part, size: rng.random(size) < rate)
         return _fill(out, lambda part, size: np.sin(np.pi * x[part]) + np.where(
             hit[part], magnitude * rng.standard_normal(size), 0.0))
     # student_t: fat tails, finite mean for nu > 1
-    scale, nu = law.get("scale", 1.0), law.get("nu", 1.5)
+    scale, nu = law.param("scale"), law.param("nu")
     return _fill(out, lambda part, size: scale * rng.standard_t(nu, size))
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDataError
-from .spectral import LebesgueQuadrature, symmetrized
+from .moments import symmetrized
+from .spectral import LebesgueQuadrature
 
 _ORTHO_TOL = 1e-8
 
@@ -29,7 +30,7 @@ KINDS = (VALUE, PROBABILITY, DENSITY, PURE_SQUARED)
 class DensityMatrix:
     """A density operator expressed in the f-eigenbasis.
 
-    R is stored symmetrized (see :func:`spectral.symmetrized`); a non-finite
+    R is stored symmetrized (see :func:`moments.symmetrized`); a non-finite
     R is reported by the correlations built on it.
     """
 

@@ -135,17 +135,49 @@ def _spans(columns) -> dict[str, tuple[float, float]]:
         return {name: (float(arr.min()), float(arr.max())) for name, arr in columns}
 
 
+def _halved_sum(M: np.ndarray) -> np.ndarray:
+    # 0.5 M + 0.5 M^T: the same bits as 0.5 (M + M^T) above the subnormal
+    # range, as halving is exact there, but finite wherever M is
+    return 0.5 * M + 0.5 * M.T
+
+
+def symmetrized(M, name: str) -> np.ndarray:
+    """(M + M^T) / 2 of a square M that is symmetric to within 1e-10 of its
+    largest entry; InputDataError otherwise. It is finite wherever M is; NaN
+    in M is the caller's to report."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InputDataError(f"{name} must be square, got shape {M.shape}")
+    scale = np.abs(M).max() or 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.abs(M - M.T).max() > 1e-10 * scale:
+            raise InputDataError(f"{name} is not symmetric")
+        return _halved_sum(M)
+
+
 @dataclass(frozen=True)
 class GramSet:
     """Gram and operator matrices of a SampleSet, over T_k whatever the family
     (:func:`accumulate_grams`), scaled: with (e_w, e_f, e_g) = ``exponents``,
     G = <T_j T_k> 2^-e_w, A_f = <T_j f T_k> 2^-(e_w + e_f) and
-    A_g = <T_j g T_k> 2^-(e_w + e_g). Row 0 of G is the moment vector <T_k>."""
+    A_g = <T_j g T_k> 2^-(e_w + e_g). Row 0 of G is the moment vector <T_k>.
+    Each is checked here, once: square, of G's shape, finite and symmetric
+    (:func:`symmetrized`), else InputDataError; it is stored symmetrized."""
 
     G: np.ndarray
     A_f: np.ndarray
     A_g: np.ndarray | None = None
     exponents: tuple[int, int, int] = (0, 0, 0)
+
+    def __post_init__(self):
+        shape = np.shape(self.G)
+        for name in ("G", "A_f", "A_g")[:2 + (self.A_g is not None)]:
+            M = symmetrized(getattr(self, name), name)
+            if M.shape != shape:
+                raise InputDataError(f"{name} has shape {M.shape}, G has {shape}")
+            if not np.isfinite(M).all():
+                raise InputDataError(f"{name} has a non-finite entry")
+            object.__setattr__(self, name, M)
 
     @property
     def n(self) -> int:

@@ -85,9 +85,9 @@ def analyze(samples: SampleSet, n: int = DEFAULT_ORDER,
     """
     basis = basis_for_samples(samples, n, family)
     grams = accumulate_grams(samples, basis, n)
-    quad_f = lebesgue_quadrature(grams, grams.A_f, epsilon=epsilon)
+    quad_f = lebesgue_quadrature(grams, epsilon=epsilon)
     quad_g = None
     if grams.has_g:
-        quad_g = lebesgue_quadrature_in_f_basis(grams, quad_f)
+        quad_g = lebesgue_quadrature_in_f_basis(quad_f)
     return AnalysisResult(samples=samples, basis=basis, grams=grams,
                           quad_f=quad_f, quad_g=quad_g)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, ConfigurationError, InputDataError
-from .moments import GramSet
+from .moments import GramSet, _halved_sum
 
 DEFAULT_EPSILON = 1e-12
 
@@ -50,26 +50,6 @@ class LebesgueQuadrature:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-
-def _halved_sum(M: np.ndarray) -> np.ndarray:
-    # 0.5 M + 0.5 M^T: the same bits as 0.5 (M + M^T) above the subnormal
-    # range, as halving is exact there, but finite wherever M is
-    return 0.5 * M + 0.5 * M.T
-
-
-def symmetrized(M, name: str) -> np.ndarray:
-    """(M + M^T) / 2 of a square M that is symmetric to within 1e-10 of its
-    largest entry; InputDataError otherwise. It is finite wherever M is; NaN
-    in M is the caller's to report."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputDataError(f"{name} must be square, got shape {M.shape}")
-    scale = np.abs(M).max() or 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.abs(M - M.T).max() > 1e-10 * scale:
-            raise InputDataError(f"{name} is not symmetric")
-        return _halved_sum(M)
 
 
 def _reduced_eigh(Y: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,55 +104,40 @@ def _signed_reduction(Y: np.ndarray, A: np.ndarray, m: np.ndarray):
     return lam, alpha, B, amplitudes
 
 
-def lebesgue_quadrature(grams: GramSet, A: np.ndarray, *,
-                        epsilon: float = DEFAULT_EPSILON) -> LebesgueQuadrature:
-    """Lebesgue quadrature of the process of operator A, which must be
-    ``grams.A_f`` or ``grams.A_g``: nodes, weights, amplitudes. G is
-    eigendecomposed; an eigenvalue at or below epsilon * lambda_max(G) makes
-    the pencil rank-deficient (ConditioningError), and no direction is
-    dropped. A node, weight or total measure past the float maximum is an
-    InputDataError.
+def lebesgue_quadrature(grams: GramSet, *, epsilon: float = DEFAULT_EPSILON) -> LebesgueQuadrature:
+    """Lebesgue quadrature of f, the process of ``grams.A_f``: nodes, weights,
+    amplitudes. G is eigendecomposed; an eigenvalue at or below
+    epsilon * lambda_max(G) makes the pencil rank-deficient
+    (ConditioningError), and no direction is dropped. A node, weight or total
+    measure past the float maximum is an InputDataError.
     ``epsilon`` must lie in [0, 1). Eigenvectors are signed by the moment
     vector so that amplitudes come out non-negative."""
-    if A is None:  # grams.A_g of samples without g
-        raise ConfigurationError("samples carried no g column")
-    if not (A is grams.A_f or A is grams.A_g):
-        raise ConfigurationError("A must be grams.A_f or grams.A_g")
     if not 0 <= epsilon < 1:  # also rejects nan
         raise ConfigurationError(f"epsilon must be in [0, 1), got {epsilon}")
-    e_w, e_f, e_g = grams.exponents
-    e_A = e_f if A is grams.A_f else e_g  # before A is rebound
-    A = symmetrized(A, "A")
-    G = symmetrized(grams.G, "G")
-    if A.shape != G.shape:
-        raise InputDataError(f"shape mismatch: A {A.shape} vs G {G.shape}")
-    s, U = np.linalg.eigh(G)
+    e_w, e_f, _ = grams.exponents
+    s, U = np.linalg.eigh(grams.G)
     rank = int(np.count_nonzero(s > epsilon * s[-1]))
     if rank < grams.n:
         raise ConditioningError(
             f"Gram matrix rank-deficient for order {grams.n}", effective_rank=rank
         )
-    lam, alpha, _, amplitudes = _signed_reduction(U / np.sqrt(s), A, grams.m)
-    return _quadrature(grams, e_A, lam, np.ldexp(amplitudes, e_w // 2),
+    lam, alpha, _, amplitudes = _signed_reduction(U / np.sqrt(s), grams.A_f, grams.m)
+    return _quadrature(grams, e_f, lam, np.ldexp(amplitudes, e_w // 2),
                        EigenSolution(np.ldexp(alpha, -e_w // 2), float(s[-1]) / float(s[0])))
 
 
-def lebesgue_quadrature_in_f_basis(grams: GramSet, quad_f: LebesgueQuadrature) -> LebesgueQuadrature:
-    """Quadrature of g, solved in the f-eigenbasis, where the pencil has unit
-    right-hand side. Its solution keeps the eigenvectors over the
-    f-eigenfunctions, S, as ``in_f_basis`` and quad_f's solution as
+def lebesgue_quadrature_in_f_basis(quad_f: LebesgueQuadrature) -> LebesgueQuadrature:
+    """Quadrature of g, solved on ``quad_f.grams`` in the f-eigenbasis, where
+    the pencil has unit right-hand side. Its solution keeps the eigenvectors
+    over the f-eigenfunctions, S, as ``in_f_basis`` and quad_f's solution as
     ``f_solution``; the amplitudes are S^T a_f. Its sign rule sees scaled
     amplitudes, as the f solve's does."""
+    grams = quad_f.grams
     if grams.A_g is None:
         raise ConfigurationError("samples carried no g column")
-    alpha_f = quad_f.eigensolution.alpha
-    if alpha_f.shape[0] != grams.A_g.shape[0]:
-        raise InputDataError(
-            f"dimension mismatch: f-eigenbasis is {alpha_f.shape[0]}, "
-            f"operator is {grams.A_g.shape[0]}"
-        )
     e_w, _, e_g = grams.exponents
-    lam, alpha_g, S, _ = _signed_reduction(np.ldexp(alpha_f, e_w // 2), grams.A_g, grams.m)
+    lam, alpha_g, S, _ = _signed_reduction(np.ldexp(quad_f.eigensolution.alpha, e_w // 2),
+                                           grams.A_g, grams.m)
     sol = EigenSolution(np.ldexp(alpha_g, -e_w // 2), quad_f.eigensolution.gram_condition,
                         f_solution=quad_f.eigensolution, in_f_basis=S)
     return _quadrature(grams, e_g, lam, S.T @ quad_f.amplitudes, sol)

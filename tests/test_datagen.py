@@ -86,6 +86,18 @@ def test_invalid_parameters_rejected():
             make_spec(**bad)
 
 
+@pytest.mark.parametrize("bad, match", [
+    (dict(f_law=Law("spikes", {"rat": 0.9, "magnitud": 5.0})), "'spikes' has no parameter 'rat'"),
+    (dict(g_law=Law("smooth", {"frequency": 2.0})), "'smooth' has no parameter 'frequency'"),
+    (dict(omega_law=Law("unit", {"bogus": 1.0})), "'unit' has no parameter 'bogus'"),
+    (dict(x_law=Law("uniform_grid", {"centers": 2.0})), "'uniform_grid' has no parameter"),
+    (dict(x_law=Law("clustered", {"centers": 2.9})), "'clustered' needs a whole number"),
+], ids=["spikes-rat", "smooth-frequency", "unit-bogus", "uniform_grid-centers", "centers-2.9"])
+def test_law_takes_only_its_declared_parameters(bad, match):
+    with pytest.raises(ConfigurationError, match=match):
+        make_spec(**bad)
+
+
 def test_parse_scenario_roundtrip():
     text = """
     # comment
@@ -137,14 +149,18 @@ def test_pipeline_survives_all_scenarios_at_high_order(scenario_samples):
 
 # The whole-column law expressions that generate() evaluates chunk by chunk:
 # the reference its columns must equal bit for bit.
+def _param(law, key, default):
+    return float(law.params.get(key, default))
+
+
 def reference_x(law, M, rng):
-    lo, hi = law.get("lo", -1.0), law.get("hi", 1.0)
+    lo, hi = _param(law, "lo", -1.0), _param(law, "hi", 1.0)
     if law.name == "uniform_grid":
         return np.linspace(lo, hi, M) if M > 1 else np.array([0.5 * (lo + hi)])
     if law.name == "uniform_random":
         return rng.uniform(lo, hi, M)
-    k = int(law.get("centers", 3))
-    width = law.get("width", 0.05)
+    k = int(_param(law, "centers", 3))
+    width = _param(law, "width", 0.05)
     centers = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), k)
     x = rng.choice(centers, M) + width * rng.standard_normal(M)
     return np.clip(x, lo, hi)
@@ -152,18 +168,18 @@ def reference_x(law, M, rng):
 
 def reference_values(law, x, rng):
     if law.name == "affine_of_x":
-        return law.get("a", 1.0) * x + law.get("b", 0.0)
+        return _param(law, "a", 1.0) * x + _param(law, "b", 0.0)
     if law.name == "smooth":
-        freq = law.get("freq", 1.0)
-        curvature = law.get("curvature", 0.3)
+        freq = _param(law, "freq", 1.0)
+        curvature = _param(law, "curvature", 0.3)
         return np.sin(np.pi * freq * x) + curvature * x * x
     if law.name == "spikes":
-        rate = law.get("rate", 0.01)
-        magnitude = law.get("magnitude", 1000.0)
+        rate = _param(law, "rate", 0.01)
+        magnitude = _param(law, "magnitude", 1000.0)
         base = np.sin(np.pi * x)
         hit = rng.random(x.size) < rate
         return base + np.where(hit, magnitude * rng.standard_normal(x.size), 0.0)
-    return law.get("scale", 1.0) * rng.standard_t(law.get("nu", 1.5), x.size)
+    return _param(law, "scale", 1.0) * rng.standard_t(_param(law, "nu", 1.5), x.size)
 
 
 def reference_generate(spec):

@@ -560,6 +560,11 @@ LOBATTO_NEAR_FLOAT_MAX = b"x,w,f\n" + b"".join(
      ["quadrature", "--scenario", "s.scenario", "--n", "2"], 2),
     ({"s.scenario": b"M = 100000000000000\nseed = 1\n" + LAWS},
      ["quadrature", "--scenario", "s.scenario", "--n", "2"], None),
+    *(({"s.scenario": b"M = 100\nseed = 1\nx_law = %s\nf_law = %s\nomega_law = %s\n" % laws},
+       ["quadrature", "--scenario", "s.scenario", "--n", "2"], None)
+      for laws in ((b"uniform_grid", b"spikes(rat=0.9, magnitud=5)", b"unit"),
+                   (b"uniform_grid", b"smooth", b"unit(bogus=1)"),
+                   (b"clustered(centers=2.9)", b"smooth", b"unit"))),
     ({"s.scenario": b"M = 100\nseed = 1\nx_law = clustered(lo=-5e305)\n"
                     b"f_law = smooth\ng_law = smooth\nomega_law = unit\n"},
      ["joint", "--scenario", "s.scenario", "--n", "2"], None),
@@ -604,6 +609,8 @@ LOBATTO_NEAR_FLOAT_MAX = b"x,w,f\n" + b"".join(
 ], ids=["csv-not-utf8", "csv-header-not-utf8", "csv-not-utf8-line-50000",
         "rho-not-utf8", "scenario-M-not-int",
         "scenario-seed-not-int", "scenario-not-utf8", "scenario-huge-M",
+        "scenario-unknown-law-parameter", "scenario-omega-law-parameter",
+        "scenario-centers-not-whole",
         "scenario-law-overflow", "scenario-x-overflow-chunks", "scenario-spikes-overflow-chunks",
         "output-dir-missing", "input-path-nul", "output-path-nul",
         "epsilon-nan", "epsilon-inf", "epsilon-2", "epsilon-negative",

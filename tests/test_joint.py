@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lebquad import (
     ConditioningError,
+    GramSet,
     InputDataError,
     SampleSet,
     analyze,
@@ -74,7 +75,9 @@ def test_projection_rejects_mixed_gram_sets(scenario_samples):
 
 
 def test_projection_needs_g_solved_in_f_basis(smooth_result):
-    direct = lebesgue_quadrature(smooth_result.grams, smooth_result.grams.A_g)
+    grams = smooth_result.grams
+    e_w, _, e_g = grams.exponents
+    direct = lebesgue_quadrature(GramSet(G=grams.G, A_f=grams.A_g, exponents=(e_w, e_g, 0)))
     with pytest.raises(InputDataError, match="f-eigenbasis"):
         projection(smooth_result.quad_f, direct)
 
@@ -91,12 +94,12 @@ def test_projection_rejects_g_solved_in_another_f_basis():
         projection(r1.quad_f, r2.quad_g)
 
 
-# parameter ranges drawn for the built-in scenarios' laws
-_LAW_RANGES = {
-    "clustered": {"centers": (1.0, 6.0), "width": (0.005, 0.1)},
-    "spikes": {"rate": (0.0, 0.05), "magnitude": (1.0, 1e4)},
-    "student_t": {"nu": (1.2, 4.0)},
-    "smooth": {"freq": (0.5, 3.0)},
+# parameter values drawn for the built-in scenarios' laws
+_LAW_VALUES = {
+    "clustered": {"centers": st.integers(1, 6).map(float), "width": st.floats(0.005, 0.1)},
+    "spikes": {"rate": st.floats(0.0, 0.05), "magnitude": st.floats(1.0, 1e4)},
+    "student_t": {"nu": st.floats(1.2, 4.0)},
+    "smooth": {"freq": st.floats(0.5, 3.0)},
 }
 
 
@@ -105,9 +108,9 @@ def _scenario(draw):
     spec = load_scenario(draw(st.sampled_from(builtin_scenario_names())))
 
     def drawn(law):
-        ranges = _LAW_RANGES.get(law.name, {})
-        return Law(law.name, {**law.params, **{key: draw(st.floats(lo, hi))
-                                               for key, (lo, hi) in ranges.items()}})
+        values = _LAW_VALUES.get(law.name, {})
+        return Law(law.name, {**law.params, **{key: draw(strategy)
+                                               for key, strategy in values.items()}})
 
     return replace(spec, x_law=drawn(spec.x_law), f_law=drawn(spec.f_law),
                    g_law=drawn(spec.g_law), M=draw(st.integers(1000, 20_000)),

@@ -19,6 +19,7 @@ from lebquad import (
     ConfigurationError,
     DomainMap,
     Family,
+    GramSet,
     InputDataError,
     SampleSet,
     accumulate_grams,
@@ -274,6 +275,41 @@ def test_symmetry_is_bitwise(scenario_samples):
     grams = accumulate_grams(samples, b, 6)
     for M in (grams.G, grams.A_f, grams.A_g):
         assert np.array_equal(M, M.T)
+
+
+def _pencil(n, seed):
+    B = np.random.default_rng(seed).standard_normal((n, n))
+    return B + B.T
+
+
+@pytest.mark.parametrize("bad, match", [
+    # G = I and A_f = diag(1, 2) are symmetric: only A_g is rejected
+    (dict(G=np.eye(2), A_f=np.diag([1.0, 2.0]), A_g=np.array([[0.0, 1.0], [0.0, 0.0]])),
+     "A_g is not symmetric"),
+    (dict(A_g=_pencil(3, 1) + np.triu(np.full((3, 3), 1e-9), 1)), "A_g is not symmetric"),
+    (dict(A_f=_pencil(2, 1)), "A_f has shape"),
+    (dict(A_g=_pencil(4, 1)), "A_g has shape"),
+    (dict(A_g=np.ones(3)), "A_g must be square"),
+    (dict(G=np.diag([1.0, np.inf, 1.0])), "G has a non-finite entry"),
+    (dict(A_f=np.full((3, 3), np.nan)), "A_f has a non-finite entry"),
+    (dict(A_g=np.diag([1.0, -np.inf, 1.0])), "A_g has a non-finite entry"),
+], ids=["A_g-asymmetric", "A_g-asymmetric-past-1e-10", "A_f-shape", "A_g-shape",
+        "A_g-not-square", "G-inf", "A_f-nan", "A_g-inf"])
+def test_gramset_checks_each_matrix_when_made(bad, match):
+    grams = dict(G=np.eye(3) + 0.1 * _pencil(3, 2), A_f=_pencil(3, 3), A_g=_pencil(3, 4))
+    with pytest.raises(InputDataError, match=match):
+        GramSet(**{**grams, **bad})
+
+
+def test_gramset_stores_each_matrix_symmetrized():
+    rng = np.random.default_rng(5)
+    raw = {name: _pencil(4, k) + 1e-12 * rng.standard_normal((4, 4))
+           for k, name in enumerate(("G", "A_f", "A_g"))}
+    grams = GramSet(**raw)
+    for name, M in raw.items():
+        stored = getattr(grams, name)
+        assert not np.array_equal(M, M.T)
+        np.testing.assert_array_equal(stored, 0.5 * M + 0.5 * M.T)
 
 
 def test_configuration_errors(two_atom):

@@ -17,11 +17,11 @@ from lebquad import (
     lebesgue_quadrature,
     lebesgue_quadrature_in_f_basis,
 )
-from lebquad.spectral import _AMPLITUDE_TOL, _reduced_eigh, symmetrized
+from lebquad.spectral import _AMPLITUDE_TOL, _reduced_eigh
 
 
 def _solve(A, G):
-    return lebesgue_quadrature(GramSet(G=G, A_f=A), A)
+    return lebesgue_quadrature(GramSet(G=G, A_f=A))
 
 
 def test_hand_two_by_two_pencil():
@@ -64,8 +64,8 @@ def test_orthonormality_and_residual_invariants():
 
 
 def test_asymmetric_input_rejected():
-    with pytest.raises(InputDataError):
-        _solve(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+    with pytest.raises(InputDataError, match="A_f is not symmetric"):
+        GramSet(G=np.eye(2), A_f=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_rank_deficient_gram_reported():
@@ -80,7 +80,7 @@ def test_operator_overflow_needs_an_epsilon_below_the_float_range():
     # Y = U s^-1/2 reaches 1e155 and Y^T A Y overflows for |A| = 1
     grams = GramSet(G=np.diag([1.0, 1e-310]), A_f=np.ones((2, 2)))
     with pytest.raises(InputDataError, match="operator overflows in the Gram eigenbasis"):
-        lebesgue_quadrature(grams, grams.A_f, epsilon=0.0)
+        lebesgue_quadrature(grams, epsilon=0.0)
 
 
 def test_two_atom_quadrature(two_atom):
@@ -126,7 +126,7 @@ def test_g_in_f_basis_same_process(two_atom):
     s = SampleSet(x=two_atom.x, w=two_atom.w, f=two_atom.f, g=two_atom.f)
     result = analyze(s, n=2, family="monomial")
     grams = result.grams
-    quad_g = lebesgue_quadrature_in_f_basis(grams, result.quad_f)
+    quad_g = lebesgue_quadrature_in_f_basis(result.quad_f)
     np.testing.assert_allclose(quad_g.nodes, result.quad_f.nodes, atol=1e-12)
     B = result.quad_f.eigensolution.alpha.T @ grams.A_g @ result.quad_f.eigensolution.alpha
     np.testing.assert_allclose(B, np.diag(result.quad_f.nodes), atol=1e-12)
@@ -135,11 +135,18 @@ def test_g_in_f_basis_same_process(two_atom):
 def test_g_in_f_basis_needs_g_column(two_atom):
     result = analyze(SampleSet(x=two_atom.x, w=two_atom.w, f=two_atom.f), n=2, family="monomial")
     with pytest.raises(ConfigurationError, match="no g column"):
-        lebesgue_quadrature_in_f_basis(result.grams, result.quad_f)
-    with pytest.raises(ConfigurationError, match="no g column"):
-        lebesgue_quadrature(result.grams, result.grams.A_g)
-    with pytest.raises(ConfigurationError, match="must be grams.A_f or grams.A_g"):
-        lebesgue_quadrature(result.grams, 2 * result.grams.A_f)
+        lebesgue_quadrature_in_f_basis(result.quad_f)
+
+
+def test_g_in_f_basis_reproduces_the_analysis(scenario_samples):
+    for samples in scenario_samples.values():
+        result = analyze(samples, n=8)
+        quad_g = lebesgue_quadrature_in_f_basis(result.quad_f)
+        assert quad_g.grams is result.grams
+        for name in ("nodes", "weights", "amplitudes"):
+            np.testing.assert_array_equal(getattr(quad_g, name), getattr(result.quad_g, name))
+        np.testing.assert_array_equal(quad_g.eigensolution.in_f_basis,
+                                      result.quad_g.eigensolution.in_f_basis)
 
 
 def test_g_affine_of_f():
@@ -272,8 +279,8 @@ def _assert_signed_as_reference(result):
     """Both solutions and amplitudes equal the reference's, bit for bit;
     returns the columns its fallback decided in the f and the g pencil."""
     grams = result.grams
-    s, U = np.linalg.eigh(symmetrized(grams.G, "G"))
-    alpha_f, _, fallback_f = _signed(U / np.sqrt(s), symmetrized(grams.A_f, "A"), grams)
+    s, U = np.linalg.eigh(grams.G)
+    alpha_f, _, fallback_f = _signed(U / np.sqrt(s), grams.A_f, grams)
     alpha_g, S, fallback_g = _signed(alpha_f, grams.A_g, grams)
     quad_f, sol_g = result.quad_f, result.quad_g.eigensolution
     np.testing.assert_array_equal(quad_f.eigensolution.alpha, alpha_f)

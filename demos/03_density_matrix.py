@@ -1,15 +1,19 @@
 """Density-matrix correlations: the general family behind V and P.
 
-A symmetric positive operator rho defines the averaging. Two special
-choices recover the simpler estimators exactly:
+A symmetric positive operator rho defines the averaging. It is held as
+its spectral factors, rho = Psi diag(lambda) Psi^T in the f-eigenbasis, so
+a rank-r rho costs O(r n^2). Two special choices recover the simpler
+estimators exactly:
 
-  rho = |1><1|   (outer product of amplitudes)  ->  value-correlation
-  rho = identity                                ->  probability-correlation
+  rho = |1><1|   (one vector, the amplitudes)  ->  value-correlation
+  rho = identity (no vectors, lambda = 1)      ->  probability-correlation
 
 The squared variant ((rho S)_ij)^2 factorizes into a product of the two
 marginal quadrature weights exactly when rho has rank 1 ("pure state");
 the distance from factorization measures how mixed rho is.
 """
+import sys
+
 import numpy as np
 
 from lebquad import (
@@ -23,6 +27,14 @@ from lebquad import (
     pureness_estimate,
 )
 
+
+def check(label, holds):
+    """Print an identity check; a failed one fails the script."""
+    print(label, holds)
+    if not holds:
+        sys.exit(f"identity failed: {label}")
+
+
 samples = datagen.generate(datagen.load_scenario("smooth"))
 result = analyze(samples, n=4)
 S = result.projection()
@@ -35,15 +47,15 @@ D_ident = density_matrix_correlation(S, rho_ident)
 V = result.correlation("value", S=S)
 P = result.correlation("probability", S=S)
 
-print("density correlation with rho = |1><1| equals V:",
+check("density correlation with rho = |1><1| equals V:",
       np.array_equal(D_unit.W, V.W))
-print("density correlation with rho = identity equals P:",
+check("density correlation with rho = identity equals P:",
       np.allclose(D_ident.W, P.W, atol=1e-12))
 print("spur of |1><1| rho:", rho_unit.spur, "= total measure", samples.w.sum())
 
 # squared correlation: pure states factorize, mixed states do not
 W = pure_squared_correlation(S, rho_unit).W
-print("\nsquared correlation with pure rho factorizes:",
+check("\nsquared correlation with pure rho factorizes:",
       np.allclose(W, np.outer(result.quad_f.weights, result.quad_g.weights)))
 print("pureness residual, pure rho  :", pureness_estimate(S, rho_unit))
 print("pureness residual, mixed rho :", pureness_estimate(S, rho_ident))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputDataError
-from .moments import symmetrized
 from .spectral import LebesgueQuadrature
 
 _ORTHO_TOL = 1e-8
@@ -28,24 +27,31 @@ KINDS = (VALUE, PROBABILITY, DENSITY, PURE_SQUARED)
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A density operator expressed in the f-eigenbasis.
+    """A density operator R = Psi diag(lambda) Psi^T, held as ``values`` lambda
+    (r,) and ``vectors`` Psi (n x r) over the f-eigenfunctions, None for Psi = I.
+    Symmetric by construction; a non-finite R is reported by the correlations."""
 
-    R is stored symmetrized (see :func:`moments.symmetrized`); a non-finite
-    R is reported by the correlations built on it.
-    """
-
-    R: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "R", symmetrized(self.R, "density matrix"))
+        lam = np.asarray(self.values, dtype=float)
+        psi = None if self.vectors is None else np.asarray(self.vectors, dtype=float)
+        if lam.ndim != 1 or lam.size == 0 or psi is not None and psi.shape[1:] != lam.shape:
+            raise InputDataError(f"density factors need r >= 1 values and n x r vectors, got "
+                                 f"shapes {lam.shape} and {None if psi is None else psi.shape}")
+        object.__setattr__(self, "values", lam)
+        object.__setattr__(self, "vectors", psi)
 
     @property
     def spur(self) -> float:
-        return float(np.trace(self.R))
+        """trace R = sum_k lambda_k |psi_k|^2."""
+        sq = 1.0 if self.vectors is None else (self.vectors * self.vectors).sum(axis=0)
+        return float((self.values * sq).sum())
 
     @property
     def n(self) -> int:
-        return self.R.shape[0]
+        return len(self.values if self.vectors is None else self.vectors)
 
 
 @dataclass(frozen=True)
@@ -97,45 +103,39 @@ def projection(quad_f: LebesgueQuadrature, quad_g: LebesgueQuadrature) -> np.nda
 
 
 def density_from_pure_unit(quad_f: LebesgueQuadrature) -> DensityMatrix:
-    """Rank-1 density |1><1| in the f-eigenbasis: outer product of amplitudes."""
-    a = quad_f.amplitudes
-    return DensityMatrix(R=np.outer(a, a))
+    """Rank-1 density |1><1| in the f-eigenbasis: one vector, the amplitudes."""
+    return DensityMatrix(np.ones(1), quad_f.amplitudes[:, None])
 
 
 def density_identity(n: int) -> DensityMatrix:
     if n < 1:
         raise InputDataError(f"order must be >= 1, got {n}")
-    return DensityMatrix(R=np.eye(n))
+    return DensityMatrix(np.ones(n))
 
 
 def density_from_spectral(eigenvalues, vectors) -> DensityMatrix:
-    """Density operator from its spectral form, coefficients in the f-eigenbasis."""
-    lam = np.asarray(eigenvalues, dtype=float)
-    psi = np.asarray(vectors, dtype=float)
-    if psi.ndim != 2 or psi.shape[0] != psi.shape[1] or lam.size != psi.shape[0]:
-        raise InputDataError(
-            f"spectral form needs n values and an n x n vector matrix, "
-            f"got {lam.size} and {psi.shape}"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite R is reported downstream
-        if np.abs(psi.T @ psi - np.eye(psi.shape[0])).max() > _ORTHO_TOL:
+    """Density operator from n values and n orthonormal column vectors over the f-eigenbasis."""
+    rho = DensityMatrix(eigenvalues, np.asarray(vectors, dtype=float))
+    psi = rho.vectors
+    if psi.shape[0] != psi.shape[1]:
+        raise InputDataError(f"spectral form needs an n x n vector matrix, got {psi.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):  # inf fails here, NaN in the correlations
+        if np.abs(psi.T @ psi - np.eye(len(psi))).max() > _ORTHO_TOL:
             raise InputDataError("spectral vectors are not orthonormal")
-        return DensityMatrix(R=(psi * lam) @ psi.T)
+    return rho
 
 
-def _correlation(kind: str, S: np.ndarray, rho: DensityMatrix | None,
+def _correlation(kind: str, S: np.ndarray, rho: DensityMatrix,
                  normalization: float | None = None) -> JointDistributionMatrix:
     """The one joint estimator: W = S_ij (R S)_ij, or ((R S)_ij)^2 for the
-    squared kind, R being rho's operator.
-
-    rho None stands for the identity, with R S taken as S itself, so no
-    product is formed. The normalization defaults to spur rho, and for the
-    squared kind to W's own total.
-    """
-    if rho is not None and rho.n != len(S):
+    squared kind, R S formed from rho's factors as Psi (lambda o (Psi^T S)),
+    O(r n^2) for rank r, or as lambda o S when Psi is I. The normalization
+    defaults to spur rho, and for the squared kind to W's own total."""
+    if rho.n != len(S):
         raise InputDataError(f"dimension mismatch: rho is {rho.n}, projection is {len(S)}")
+    lam, psi = rho.values[:, None], rho.vectors
     with np.errstate(over="ignore", invalid="ignore"):  # reported by JointDistributionMatrix
-        RS = S if rho is None else rho.R @ S
+        RS = lam * S if psi is None else psi @ (lam * (psi.T @ S))
         W = RS * RS if kind == PURE_SQUARED else S * RS
         if normalization is None:
             normalization = float(W.sum()) if kind == PURE_SQUARED else rho.spur
@@ -152,8 +152,8 @@ def value_correlation(quad_f: LebesgueQuadrature, S: np.ndarray) -> JointDistrib
 
 def probability_correlation(S: np.ndarray) -> JointDistributionMatrix:
     """Doubly stochastic matrix S_ij^2: the density-matrix correlation at
-    rho = I, normalized to the order n."""
-    return _correlation(PROBABILITY, S, None, float(len(S)))
+    rho = I, normalized to the order n, its spur."""
+    return _correlation(PROBABILITY, S, density_identity(len(S)))
 
 
 def density_matrix_correlation(S: np.ndarray, rho: DensityMatrix) -> JointDistributionMatrix:
@@ -174,6 +174,4 @@ def pureness_estimate(S: np.ndarray, rho: DensityMatrix) -> float:
     if squared.normalization <= 0:
         raise InputDataError("squared correlation has zero total weight")
     Wn = squared.W / squared.normalization
-    row = Wn.sum(axis=1)
-    col = Wn.sum(axis=0)
-    return float(np.linalg.norm(Wn - np.outer(row, col)))
+    return float(np.linalg.norm(Wn - np.outer(Wn.sum(axis=1), Wn.sum(axis=0))))

@@ -142,12 +142,12 @@ def _halved_sum(M: np.ndarray) -> np.ndarray:
 
 
 def symmetrized(M, name: str) -> np.ndarray:
-    """(M + M^T) / 2 of a square M that is symmetric to within 1e-10 of its
-    largest entry; InputDataError otherwise. It is finite wherever M is; NaN
-    in M is the caller's to report."""
+    """(M + M^T) / 2 of a non-empty square M that is symmetric to within 1e-10
+    of its largest entry; InputDataError otherwise. It is finite wherever M
+    is; NaN in M is the caller's to report."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputDataError(f"{name} must be square, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise InputDataError(f"{name} must be square and non-empty, got shape {M.shape}")
     scale = np.abs(M).max() or 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         if np.abs(M - M.T).max() > 1e-10 * scale:

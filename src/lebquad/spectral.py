@@ -131,7 +131,9 @@ def lebesgue_quadrature_in_f_basis(quad_f: LebesgueQuadrature) -> LebesgueQuadra
     the pencil has unit right-hand side. Its solution keeps the eigenvectors
     over the f-eigenfunctions, S, as ``in_f_basis`` and quad_f's solution as
     ``f_solution``; the amplitudes are S^T a_f. Its sign rule sees scaled
-    amplitudes, as the f solve's does."""
+    amplitudes, as the f solve's does. A g quadrature as quad_f: InputDataError."""
+    if quad_f.eigensolution.f_solution is not None:
+        raise InputDataError("quad_f is a g quadrature, solved in an f-eigenbasis")
     grams = quad_f.grams
     if grams.A_g is None:
         raise ConfigurationError("samples carried no g column")

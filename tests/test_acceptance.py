@@ -84,7 +84,7 @@ def test_criterion_04_pure_state_factorization(rows, results):
         for _ in range(3):
             u = rng.standard_normal(N)
             u /= np.linalg.norm(u)
-            worst = max(worst, pureness_estimate(S, DensityMatrix(R=np.outer(u, u))))
+            worst = max(worst, pureness_estimate(S, DensityMatrix(np.ones(1), u[:, None])))
     report_rows("4 pure-state factorization and zero pureness",
                 select(rows[0], "squared", "pureness"), worst <= 1e-8,
                 f"random pure states {worst:.2e}")

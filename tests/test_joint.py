@@ -182,34 +182,54 @@ def test_probability_permutation_two_atom(two_atom_result):
 
 def test_density_from_pure_unit(two_atom_result):
     rho = density_from_pure_unit(two_atom_result.quad_f)
-    np.testing.assert_allclose(rho.R, np.ones((2, 2)), atol=1e-12)
+    np.testing.assert_array_equal(rho.values, [1.0])
+    np.testing.assert_array_equal(rho.vectors, two_atom_result.quad_f.amplitudes[:, None])
+    np.testing.assert_allclose(rho.vectors, [[1.0], [1.0]], atol=1e-12)
     assert rho.spur == pytest.approx(2.0)
+    assert rho.n == 2
 
 
 def test_density_identity():
     rho = density_identity(3)
-    np.testing.assert_array_equal(rho.R, np.eye(3))
+    np.testing.assert_array_equal(rho.values, np.ones(3))
+    assert rho.vectors is None
     assert rho.spur == 3.0
-    np.testing.assert_array_equal(density_identity(1).R, [[1.0]])
+    assert rho.n == 3
+    np.testing.assert_array_equal(density_identity(1).values, [1.0])
     with pytest.raises(InputDataError):
         density_identity(0)
 
 
-def test_density_matrix_must_be_symmetric():
-    with pytest.raises(InputDataError, match="not symmetric"):
-        DensityMatrix(R=np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(InputDataError, match="square"):
-        DensityMatrix(R=np.ones((2, 3)))
-    # within the tolerance, R is stored symmetrized
-    rho = DensityMatrix(R=np.array([[1.0, 1e-12], [0.0, 1.0]]))
-    np.testing.assert_array_equal(rho.R, rho.R.T)
+@pytest.mark.parametrize("make", [
+    lambda: GramSet(G=np.zeros((0, 0)), A_f=np.zeros((0, 0))),
+    lambda: DensityMatrix(np.ones(0)),
+    lambda: DensityMatrix([]),
+    lambda: DensityMatrix(np.ones(0), np.ones((3, 0))),
+    lambda: DensityMatrix(np.ones((2, 2))),
+    lambda: DensityMatrix(np.ones(2), np.ones((3, 1))),
+    lambda: DensityMatrix([1.0, 2.0], [[1.0], [0.0], [0.0]]),
+    lambda: DensityMatrix(np.ones(1), np.ones(3)),
+    lambda: DensityMatrix([1.0], [1.0, 0.0, 0.0]),
+    lambda: density_from_spectral([], [[]]),
+    lambda: density_from_spectral([1.0], None),
+    lambda: density_from_spectral(np.ones(2), np.ones((3, 2))),
+], ids=["gramset-empty", "no-values", "no-values-list", "no-values-no-columns",
+        "2d-values", "count-mismatch", "count-mismatch-lists", "1d-vectors",
+        "1d-vectors-lists", "spectral-empty", "spectral-no-vectors", "spectral-not-square"])
+def test_malformed_matrices_are_input_errors(make):
+    with pytest.raises(InputDataError):
+        make()
 
 
 def test_density_from_spectral_completeness():
     rng = np.random.default_rng(17)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     rho = density_from_spectral(np.ones(4), q)
-    np.testing.assert_allclose(rho.R, np.eye(4), atol=1e-12)
+    np.testing.assert_array_equal(rho.vectors, q)
+    np.testing.assert_allclose((q * rho.values) @ q.T, np.eye(4), atol=1e-12)
+    S, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    np.testing.assert_allclose(density_matrix_correlation(S, rho).W, S * S, atol=1e-12)
+    assert rho.spur == pytest.approx(4.0, rel=1e-12)
 
 
 def test_density_from_spectral_rank_one(smooth_result):
@@ -222,15 +242,24 @@ def test_density_from_spectral_rank_one(smooth_result):
     lam = np.zeros(n)
     lam[0] = total
     rho = density_from_spectral(lam, q)
-    np.testing.assert_allclose(rho.R, density_from_pure_unit(smooth_result.quad_f).R,
-                               rtol=1e-8, atol=1e-8 * total)
+    unit = density_from_pure_unit(smooth_result.quad_f)
+    S = smooth_result.projection()
+    for correlation in (density_matrix_correlation, pure_squared_correlation):
+        W = correlation(S, rho).W
+        np.testing.assert_allclose(W, correlation(S, unit).W, rtol=1e-8,
+                                   atol=1e-8 * np.abs(W).max())
+    assert rho.spur == pytest.approx(unit.spur, rel=1e-8)
 
 
 def test_density_from_spectral_projector():
     rho = density_from_spectral(np.array([1.0, 0.0, 0.0]), np.eye(3))
+    np.testing.assert_array_equal(rho.values, [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(rho.vectors, np.eye(3))
     expected = np.zeros((3, 3))
     expected[0, 0] = 1.0
-    np.testing.assert_array_equal(rho.R, expected)
+    S, _ = np.linalg.qr(np.random.default_rng(19).standard_normal((3, 3)))
+    np.testing.assert_array_equal(density_matrix_correlation(S, rho).W, S * (expected @ S))
+    assert rho.spur == 1.0
 
 
 def test_density_from_spectral_rejects_nonorthonormal():
@@ -259,11 +288,16 @@ def test_pureness_zero_for_pure_states(smooth_result):
     S = smooth_result.projection()
     assert pureness_estimate(S, density_from_pure_unit(smooth_result.quad_f)) <= 1e-8
     rng = np.random.default_rng(29)
+    n = len(S)
     for _ in range(5):
-        u = rng.standard_normal(len(S))
+        u = rng.standard_normal(n)
         u /= np.linalg.norm(u)
-        rho = DensityMatrix(R=np.outer(u, u))
-        assert pureness_estimate(S, rho) <= 1e-8
+        assert pureness_estimate(S, DensityMatrix(np.ones(1), u[:, None])) <= 1e-8
+        # the same state as a full-rank spectral form, one nonzero value
+        q, _ = np.linalg.qr(np.column_stack([u, np.eye(n)[:, : n - 1]]))
+        lam = np.zeros(n)
+        lam[0] = 1.0
+        assert pureness_estimate(S, density_from_spectral(lam, q)) <= 1e-8
 
 
 def test_pureness_positive_for_mixed_state():
@@ -309,6 +343,22 @@ def test_sign_flip_invariance(scenario_samples):
     W1 = pure_squared_correlation(S, rho1).W
     W2 = pure_squared_correlation(S_flipped, rho2).W
     np.testing.assert_allclose(W1, W2, atol=1e-12 * np.abs(W1).max())
+
+
+@pytest.mark.parametrize("n", [8, 64, 300])
+def test_unit_kinds_match_the_dense_product(scenario_samples, n):
+    """V, D(|1><1|) and the squared kind, formed from rho's factors, agree
+    with the dense products S o ((a a^T) S) and ((a a^T) S)^2 within
+    4 n eps max|W|."""
+    result = analyze(scenario_samples["smooth"], n=n)
+    S = result.projection()
+    a = result.quad_f.amplitudes
+    RS = np.outer(a, a) @ S
+    rho = density_from_pure_unit(result.quad_f)
+    for got, want in ((value_correlation(result.quad_f, S).W, S * RS),
+                      (density_matrix_correlation(S, rho).W, S * RS),
+                      (pure_squared_correlation(S, rho).W, RS * RS)):
+        assert np.abs(got - want).max() <= 4 * n * np.finfo(float).eps * np.abs(want).max()
 
 
 def test_negative_entries_flagged_not_clipped():

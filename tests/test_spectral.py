@@ -138,6 +138,12 @@ def test_g_in_f_basis_needs_g_column(two_atom):
         lebesgue_quadrature_in_f_basis(result.quad_f)
 
 
+def test_g_in_f_basis_rejects_a_g_quadrature(two_atom):
+    result = analyze(two_atom, n=2, family="monomial")
+    with pytest.raises(InputDataError, match="g quadrature"):
+        lebesgue_quadrature_in_f_basis(result.quad_g)
+
+
 def test_g_in_f_basis_reproduces_the_analysis(scenario_samples):
     for samples in scenario_samples.values():
         result = analyze(samples, n=8)
